@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary
+.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bench-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary
 
 test:  ## tier-1: the full suite (the ROADMAP verify command)
 	$(PYTEST) -x -q
@@ -40,6 +40,9 @@ bench-kernels-smoke:  ## kernel-class sweep (direction + tensor-core) on a tiny 
 bench-multigpu-smoke:  ## cost-model vs round-robin multi-GPU scheduling on a tiny skewed graph
 	BENCH_MULTIGPU_SMOKE=1 $(PYTEST) -q benchmarks/bench_multigpu.py \
 		--benchmark-disable
+
+bench-smoke:  ## the repository benchmark's own tests (tracer wrappers, seeds) on small inputs
+	python -m pytest -q perfbench/test_perfbench.py
 
 perf-gate:  ## run the adaptive smoke bench twice and fail on significant regressions
 	BENCH_ADAPTIVE_SMOKE=1 $(PYTEST) -q benchmarks/bench_adaptive.py \

@@ -34,6 +34,21 @@ def as_index_array(values, *, name: str) -> np.ndarray:
     return arr.astype(INDEX_DTYPE, copy=False)
 
 
+def segment_operators(row: np.ndarray, col_ptr: np.ndarray, shape: tuple[int, int]):
+    """Compiled ``(gather, scatter)`` operators over column-major index arrays.
+
+    ``gather @ X`` is ``A^T X`` (a CSR view of the columns) and
+    ``scatter @ X`` is ``A X`` (a CSC view); both wrap ``row``/``col_ptr``
+    without copying them and share one float64 ones array.
+    """
+    from scipy.sparse import csc_array, csr_array
+
+    ones = np.ones(row.size)
+    n_rows, n_cols = shape
+    return (csr_array((ones, row, col_ptr), shape=(n_cols, n_rows)),
+            csc_array((ones, row, col_ptr), shape=(n_rows, n_cols)))
+
+
 class BinaryMatrixBase:
     """Common interface shared by COOC/CSC/CSR matrices.
 

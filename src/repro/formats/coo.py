@@ -15,7 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import BinaryMatrixBase, INDEX_DTYPE, as_index_array
+from repro.formats.base import (
+    BinaryMatrixBase,
+    INDEX_DTYPE,
+    as_index_array,
+    segment_operators,
+)
 
 
 class COOMatrix(BinaryMatrixBase):
@@ -93,7 +98,7 @@ class COOCMatrix(BinaryMatrixBase):
         self._txn_cache: dict = {}
         self._col_counts: np.ndarray | None = None
         self._col_ptr: np.ndarray | None = None
-        self._scatter_plan: tuple[np.ndarray, np.ndarray] | None = None
+        self._spmm_ops: tuple | None = None
         if not _skip_checks:
             self._validate()
 
@@ -144,26 +149,19 @@ class COOCMatrix(BinaryMatrixBase):
         ``c`` occupy ``column_ptr()[c] .. column_ptr()[c + 1]``.
         """
         if self._col_ptr is None:
-            ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
+            ptr = np.zeros(self.n_cols + 1, dtype=INDEX_DTYPE)
             np.cumsum(self.column_counts(), out=ptr[1:])
             self._col_ptr = ptr
         return self._col_ptr
 
-    def scatter_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major traversal plan ``(row_ptr, cols_in_row_order)`` (cached).
-
-        Same contract as :meth:`repro.formats.csc.CSCMatrix.scatter_plan`:
-        the stable sort preserves, per row, the storage order of the entries,
-        so batched scatter products accumulate in the per-source bincount
-        order.
+    def spmm_operators(self) -> tuple:
+        """Compiled ``(gather, scatter)`` operators over the column-major
+        entries (``row`` and :meth:`column_ptr`); same contract and cache
+        lifetime as :meth:`repro.formats.csc.CSCMatrix.spmm_operators`.
         """
-        if self._scatter_plan is None:
-            order = np.argsort(self.row, kind="stable")
-            counts = np.bincount(self.row, minlength=self.n_rows)
-            row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            np.cumsum(counts, out=row_ptr[1:])
-            self._scatter_plan = (row_ptr, self.col[order])
-        return self._scatter_plan
+        if self._spmm_ops is None:
+            self._spmm_ops = segment_operators(self.row, self.column_ptr(), self.shape)
+        return self._spmm_ops
 
     def row_counts(self) -> np.ndarray:
         """Out-degree of each row."""

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import BinaryMatrixBase, INDEX_DTYPE, as_index_array
+from repro.formats.base import (
+    BinaryMatrixBase,
+    INDEX_DTYPE,
+    as_index_array,
+    segment_operators,
+)
 
 
 class CSCMatrix(BinaryMatrixBase):
@@ -44,6 +49,7 @@ class CSCMatrix(BinaryMatrixBase):
         self._col_counts: np.ndarray | None = None
         self._scatter_plan: tuple[np.ndarray, np.ndarray] | None = None
         self._tile_plans: dict = {}
+        self._spmm_ops: tuple | None = None
         self._txn_cache: dict = {}
         if not _skip_checks:
             self._validate()
@@ -114,11 +120,9 @@ class CSCMatrix(BinaryMatrixBase):
         """Row-major traversal plan ``(row_ptr, cols_in_row_order)``.
 
         ``row_ptr[r] .. row_ptr[r + 1]`` slices ``cols_in_row_order`` into the
-        column indices of row ``r``'s stored entries, sorted ascending.  The
-        stable sort keeps each row's entries in the storage (column-major)
-        order, so a segment reduction over this plan accumulates scatter
-        products ``y = A x`` in exactly the order the per-source bincount
-        does.  Cached: the batched backward stage reuses it every level.
+        column indices of row ``r``'s stored entries, sorted ascending (the
+        stable sort keeps each row's entries in storage order).  Cached: the
+        pull and scatter kernels' cost models read it every level.
         """
         if self._scatter_plan is None:
             order = np.argsort(self.row, kind="stable")
@@ -127,6 +131,20 @@ class CSCMatrix(BinaryMatrixBase):
             np.cumsum(counts, out=row_ptr[1:])
             self._scatter_plan = (row_ptr, self.column_of_nnz()[order])
         return self._scatter_plan
+
+    def spmm_operators(self) -> tuple:
+        """Compiled ``(gather, scatter)`` operators of the batched kernels.
+
+        SciPy CSR/CSC views over ``row``/``col_ptr`` (no copy) plus one
+        m-word float64 ones array: ``gather @ X`` is ``A^T X`` and
+        ``scatter @ X`` is ``A X``, each accumulated in storage order.  Like
+        :meth:`scatter_plan` this is a host-side traversal plan, never
+        charged against the device budget.  Cached per matrix object, so an
+        edit (a new object, ``version + 1``) discards it with the old matrix.
+        """
+        if self._spmm_ops is None:
+            self._spmm_ops = segment_operators(self.row, self.col_ptr, self.shape)
+        return self._spmm_ops
 
     def tile_plan(self, tile: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Blocked tiling directory ``(tile_row, tile_col, tile_nnz)``.

@@ -2,28 +2,19 @@
 
 The batched kernels multiply the sparse adjacency structure by an ``n x B``
 frontier *matrix* -- one column per BFS source -- instead of a vector.  Their
-results must match the per-source SpMV kernels bit for bit, because the
-driver promises that ``batch_size=B`` reproduces the sequential driver's BC
-(the only acceptable deviation is float accumulation *order*, and we don't
-even take that liberty):
+results must match the per-source SpMV kernels bit for bit (DESIGN.md §7,
+"Bit-exactness contract"):
 
-* the SpMV kernels accumulate with ``np.bincount``, which always sums its
-  weights sequentially in storage order **in float64** and casts afterwards;
-* the batched segment sums therefore also go through per-lane ``bincount``
-  calls -- NOT ``np.add.reduceat``, whose float64 inner loop switches to
-  pairwise summation for segments of more than a few entries and so rounds
-  differently than the sequential SpMV on columns of degree >= ~7 (the
-  conformance harness caught exactly this drift on real-valued backward
-  frontiers; integer-valued forward frontiers are exact in any order and
-  never exposed it);
-* interleaving exact zeros (masked-out lanes, drained frontier columns) into
-  a float64 accumulation is a bit-exact no-op, so the batched kernels may sum
-  whole columns and mask afterwards.
-
-Gather products reduce over the column-major storage segments directly;
-scatter products reduce over the cached row-major ``scatter_plan`` whose
-stable ordering preserves, per output row, the storage order the per-source
-bincount accumulates in.
+* the SpMV kernels accumulate with ``np.bincount``, which sums its weights
+  sequentially in storage order **in float64** and casts afterwards;
+* the batched sums are one compiled SciPy sparse x dense product over the
+  format's own column-major index arrays (``spmm_operators``).  Its
+  ``csr_matvecs``/``csc_matvecs`` loops start every output row at zero and
+  add ``1.0 * x`` one stored entry at a time in storage order -- the same
+  sequential float64 order as ``bincount``, unlike the pairwise loop of
+  ``np.add.reduceat`` (DESIGN.md §9);
+* masked-out (column, lane) sums are zeroed after the product, so a mask
+  never changes the arithmetic of an allowed lane.
 """
 
 from __future__ import annotations
@@ -49,91 +40,28 @@ def check_allowed_matrix(allowed, n_cols: int, B: int) -> np.ndarray:
     return allowed
 
 
-def segment_sums(
-    vals: np.ndarray, seg_ptr: np.ndarray, n_segments: int
-) -> np.ndarray:
-    """Per-segment column sums of an ``(entries, B)`` float64 value matrix.
+def gather_spmm_values(fmt, X: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
+    """Column sums ``sums[c, j] = sum_{k in column c} X[row[k], j]`` in float64.
 
-    ``seg_ptr`` is a CSC-style pointer (length ``n_segments + 1``).  Returns
-    an ``(n_segments, B)`` float64 array; empty segments sum to zero.  The
-    accumulation per segment is sequential in entry order -- the bincount
-    contract -- so each lane goes through ``np.bincount`` itself
-    (``np.add.reduceat`` rounds differently: its float64 reduction is
-    pairwise for segments longer than a few entries).
+    ``fmt`` is a :class:`~repro.formats.csc.CSCMatrix` or
+    :class:`~repro.formats.coo.COOCMatrix`; ``allowed`` (an ``(n_cols, B)``
+    bool mask) zeroes the masked-out (column, lane) sums.  The result is the
+    pre-cast accumulator of every per-column SpMV: callers cast to the
+    output dtype exactly like the SpMV kernels do.
     """
-    counts = np.diff(seg_ptr)
-    sums = np.zeros((n_segments, vals.shape[1]), dtype=np.float64)
-    if vals.shape[0] == 0 or n_segments == 0:
-        return sums
-    seg_of_entry = np.repeat(np.arange(n_segments), counts)
-    for j in range(vals.shape[1]):
-        sums[:, j] = np.bincount(seg_of_entry, weights=vals[:, j],
-                                 minlength=n_segments)
+    sums = fmt.spmm_operators()[0] @ X.astype(np.float64, copy=False)
+    if allowed is not None and not allowed.all():
+        sums[~allowed] = 0.0
     return sums
 
 
-def filtered_segment_sums(
-    idx: np.ndarray,
-    seg_ptr: np.ndarray,
-    X: np.ndarray,
-    seg_select: np.ndarray | None = None,
-) -> np.ndarray:
-    """``sums[s, j] = sum over segment-s entries k of X[idx[k], j]`` in float64.
-
-    Entries whose ``X`` row is all-zero are dropped *before* the float64
-    value matrix is built: adding an exact zero to a non-negative float64
-    accumulation is a bit-exact no-op, and the frontier/dependency matrices
-    are zero almost everywhere, so this is what keeps the per-level value
-    matrix at O(frontier entries x B) instead of O(nnz x B).  ``seg_select``
-    additionally drops whole segments (their sums read zero).
-    """
-    keep = X.any(axis=1)[idx]
-    if seg_select is not None:
-        keep &= np.repeat(seg_select, np.diff(seg_ptr))
-    n_segments = seg_ptr.size - 1
-    kept_idx = idx[keep]
-    if kept_idx.size == 0:
-        return np.zeros((n_segments, X.shape[1]), dtype=np.float64)
-    if kept_idx.size > X.shape[0]:
-        # dense frontier: one up-front float64 copy of X beats a second
-        # (kept, B)-sized pass (int32 -> float64 is exact either way)
-        vals = X.astype(np.float64, copy=False)[kept_idx]
-    else:
-        vals = X[kept_idx].astype(np.float64, copy=False)
-    kept_cum = np.zeros(idx.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_cum[1:])
-    return segment_sums(vals, kept_cum[seg_ptr], n_segments)
-
-
-def gather_spmm_values(
-    row: np.ndarray,
-    col_ptr: np.ndarray,
-    X: np.ndarray,
-    col_select: np.ndarray | None = None,
-) -> np.ndarray:
-    """Column sums ``sums[c, j] = sum_{k in column c} X[row[k], j]`` in float64.
-
-    ``col_select`` (length ``n_cols`` bool) restricts the scan to the selected
-    columns -- the others return zero without their entries being gathered,
-    which is how the fused mask / drained-column bitmap saves work.  The
-    result is the pre-cast accumulator of every per-column SpMV: callers cast
-    to the output dtype exactly like the SpMV kernels do.
-    """
-    return filtered_segment_sums(row, col_ptr, X, col_select)
-
-
-def scatter_spmm_values(
-    row_ptr: np.ndarray,
-    cols_in_row_order: np.ndarray,
-    X: np.ndarray,
-) -> np.ndarray:
+def scatter_spmm_values(fmt, X: np.ndarray) -> np.ndarray:
     """Row sums ``sums[r, j] = sum_{k in row r} X[col[k], j]`` in float64.
 
-    ``(row_ptr, cols_in_row_order)`` is a format's cached ``scatter_plan``.
-    Lanes whose column value is zero contribute exact zeros, so no activity
-    mask is needed for numerical parity with the scatter SpMV.
+    Each row accumulates its entries in column-major storage order, the
+    order of the per-source scatter SpMV's ``bincount``.
     """
-    return filtered_segment_sums(cols_in_row_order, row_ptr, X)
+    return fmt.spmm_operators()[1] @ X.astype(np.float64, copy=False)
 
 
 def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool) -> np.ndarray:

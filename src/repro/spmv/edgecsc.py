@@ -231,12 +231,7 @@ def edgecsc_spmm(
         allowed = np.ones((n, B), dtype=bool)
     else:
         allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
+    sums = M.gather_spmm_values(csc, X, allowed)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
@@ -249,7 +244,7 @@ def edgecsc_spmm(
     scanned = np.where(lanes > 0, degrees, 0).astype(np.int64)
     total_scanned = int(scanned.sum())
     lane_entries = int((scanned * lanes).sum())
-    sel = col_select[csc.column_of_nnz()]
+    sel = (lanes > 0)[csc.column_of_nnz()]
     dst_sel = csc.column_of_nnz()[sel]
     written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
     look = lookup_cycles(n)
@@ -295,15 +290,14 @@ def edgecsc_spmm_scatter(
     """Batched scatter product ``Y = A X``, one thread per entry.
 
     Lane results are bit-identical to B separate
-    :func:`edgecsc_spmv_scatter` calls (the scatter plan's stable ordering
-    preserves the per-source accumulation order).
+    :func:`edgecsc_spmv_scatter` calls (both accumulate each row in
+    storage order).
     """
     X = M.as_frontier_matrix(X, csc.n_cols)
     n = csc.n_cols
     B = X.shape[1]
     Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
+    sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 

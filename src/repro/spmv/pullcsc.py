@@ -332,24 +332,17 @@ def pullcsc_spmm(
         allowed = np.ones((n, B), dtype=bool)
     else:
         allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
+    sums = M.gather_spmm_values(csc, X, allowed)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
     written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
     write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
     lanes = allowed.sum(axis=1, dtype=np.int64)
+    col_select = lanes > 0
     active_rows = (X > 0).any(axis=1)
-    if csc.nnz:
-        sel = col_select[csc.column_of_nnz()]
-        union_hits = int(np.count_nonzero(active_rows[csc.row[sel]]))
-    else:
-        union_hits = 0
+    # active rows per column: an exact integer count in float64
+    union_hits = int((csc.spmm_operators()[0] @ active_rows)[col_select].sum())
     stats = _pullcsc_stats(
         csc, col_select, active_rows, X.dtype, lanes, B, write_txn,
         union_hits * B, "pullcsc_spmm", device.spec.l2_bytes,
@@ -377,7 +370,7 @@ def pullcsc_spmm_scatter(
     B = X.shape[1]
     Xp = np.where(X > 0, X, X.dtype.type(0))
     row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
+    sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 

@@ -151,10 +151,10 @@ def sccooc_spmv_scatter(
 
 def _sccooc_spmm_common(
     device: Device,
+    cooc: COOCMatrix,
     src_idx: np.ndarray,
     dst_idx: np.ndarray,
-    plan_idx: np.ndarray,
-    seg_ptr: np.ndarray,
+    segment_sums,
     X: np.ndarray,
     n_out: int,
     name: str,
@@ -164,17 +164,16 @@ def _sccooc_spmm_common(
     """Shared batched gather/scatter scCOOC.
 
     ``src_idx``/``dst_idx`` are the storage-order load/store index arrays
-    (for the cost model); ``plan_idx``/``seg_ptr`` describe the same product
-    as a segment reduction grouped by destination (``column_ptr`` for the
-    gather, the cached ``scatter_plan`` for the scatter) -- per destination
-    the segment preserves storage order, so lane results are bit-identical
-    to B per-source SpMV calls.
+    (for the cost model); ``segment_sums`` is the matching compiled product
+    (``M.gather_spmm_values`` or ``M.scatter_spmm_values``), which
+    accumulates every destination in storage order, so lane results are
+    bit-identical to B per-source SpMV calls.
     """
     l2_bytes = device.spec.l2_bytes
     m = src_idx.size
     B = X.shape[1]
     Xp = np.where(X > 0, X, X.dtype.type(0))
-    sums = M.filtered_segment_sums(plan_idx, seg_ptr, Xp)
+    sums = segment_sums(cooc, Xp)
     y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
     lanes_per_src = np.count_nonzero(Xp, axis=1)
@@ -236,7 +235,7 @@ def sccooc_spmm(
     """
     X = M.as_frontier_matrix(X, cooc.n_rows)
     return _sccooc_spmm_common(
-        device, cooc.row, cooc.col, cooc.row, cooc.column_ptr(), X,
+        device, cooc, cooc.row, cooc.col, M.gather_spmm_values, X,
         cooc.n_cols, "sccooc_spmm", tag, out_dtype or X.dtype,
     )
 
@@ -252,8 +251,7 @@ def sccooc_spmm_scatter(
     """Batched scatter product ``Y = A X`` with the scCOOC kernel (swapped
     index-array roles); used by the batched backward stage on digraphs."""
     X = M.as_frontier_matrix(X, cooc.n_cols)
-    row_ptr, cols_in_row_order = cooc.scatter_plan()
     return _sccooc_spmm_common(
-        device, cooc.col, cooc.row, cols_in_row_order, row_ptr, X,
+        device, cooc, cooc.col, cooc.row, M.scatter_spmm_values, X,
         cooc.n_rows, "sccooc_spmm_scatter", tag, out_dtype or X.dtype,
     )

@@ -263,12 +263,7 @@ def sccsc_spmm(
         allowed = np.ones((n, B), dtype=bool)
     else:
         allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
+    sums = M.gather_spmm_values(csc, X, allowed)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
@@ -292,15 +287,13 @@ def sccsc_spmm_scatter(
 
     Each thread whose column has any positive lane value atomically adds its
     B-wide value row across the column's rows; lane results are bit-identical
-    to B separate :func:`sccsc_spmv_scatter` calls (the scatter plan's stable
-    ordering preserves the per-source accumulation order).
+    to B separate :func:`sccsc_spmv_scatter` calls (both accumulate each row
+    in storage order).
     """
     X = M.as_frontier_matrix(X, csc.n_cols)
-    n = csc.n_cols
     B = X.shape[1]
     Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
+    sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
@@ -313,6 +306,7 @@ def sccsc_spmm_scatter(
     )
     # Longest same-address atomic chain: a row's entries can all target one
     # (row, lane) slot, so the cached row multiplicity bounds it.
+    row_ptr, _ = csc.scatter_plan()
     serial = int(np.diff(row_ptr).max()) if csc.nnz else 0
     stats = _sccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn,
                               "sccsc_spmm_scatter", device.spec.l2_bytes,

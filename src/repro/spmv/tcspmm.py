@@ -235,27 +235,17 @@ def tcspmm_spmm(
         allowed = np.ones((n, B), dtype=bool)
     else:
         allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
+    sums = M.gather_spmm_values(csc, X, allowed)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
     written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
     write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
     active_rows = (X > 0).any(axis=1)
-    if csc.nnz:
-        col_of_nnz = csc.column_of_nnz()
-        sel = col_select[col_of_nnz]
-        hit = sel.copy()
-        hit[sel] = active_rows[csc.row[sel]]
-        lanes = allowed.sum(axis=1, dtype=np.int64)
-        n_flops = int(lanes[col_of_nnz[hit]].sum())
-    else:
-        n_flops = 0
+    lanes = allowed.sum(axis=1, dtype=np.int64)
+    col_select = lanes > 0
+    # allowed lanes x active rows per column: an exact integer in float64
+    n_flops = int(lanes @ (csc.spmm_operators()[0] @ active_rows))
     stats = _tc_stats(
         csc, stripe_any(active_rows), stripe_any(col_select), B, X.dtype,
         write_txn, n_flops, "tcspmm_spmm", device.spec.l2_bytes,
@@ -275,21 +265,15 @@ def tcspmm_spmm_scatter(
     """Batched scatter product ``Y = A X`` on the blocked path; lane results
     bit-identical to B separate :func:`tcspmm_spmv_scatter` calls."""
     X = M.as_frontier_matrix(X, csc.n_cols)
-    n = csc.n_cols
     B = X.shape[1]
     Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
+    sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
     active_cols = (Xp > 0).any(axis=1)
     lanes = np.count_nonzero(Xp, axis=1).astype(np.int64)
-    if csc.nnz:
-        col_of_nnz = csc.column_of_nnz()
-        n_flops = int(lanes[col_of_nnz[active_cols[col_of_nnz]]].sum())
-    else:
-        n_flops = 0
+    n_flops = int(lanes @ csc.column_counts())
     written_rows = int(np.count_nonzero((sums != 0).any(axis=1)))
     write_txn = written_rows * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
     n_tile_rows = -(-csc.n_rows // W.MMA_TILE)

@@ -248,12 +248,7 @@ def veccsc_spmm(
         allowed = np.ones((n, B), dtype=bool)
     else:
         allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
+    sums = M.gather_spmm_values(csc, X, allowed)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
@@ -281,8 +276,7 @@ def veccsc_spmm_scatter(
     X = M.as_frontier_matrix(X, csc.n_cols)
     B = X.shape[1]
     Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
+    sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
@@ -293,6 +287,7 @@ def veccsc_spmm_scatter(
         total_scanned, B, csc.n_rows, np.dtype(out_dtype).itemsize,
         l2_bytes=device.spec.l2_bytes,
     )
+    row_ptr, _ = csc.scatter_plan()
     serial = int(np.diff(row_ptr).max()) if csc.nnz else 0
     stats = _veccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn,
                                "veccsc_spmm_scatter", device.spec.l2_bytes,

@@ -121,12 +121,16 @@ class TestBatchedBitIdentity:
         sequential ``np.bincount`` accumulation.  ``np.add.reduceat`` does
         not (its float64 loop goes pairwise past a few entries), which once
         made SpMM lanes drift ULPs from SpMV on columns of degree >= ~7."""
-        from repro.spmv._spmm import segment_sums
+        from repro.formats.csc import CSCMatrix
+        from repro.spmv._spmm import gather_spmm_values
 
         rng = np.random.default_rng(3)
         seg_ptr = np.array([0, 1, 1, 9, 40, 40, 73])
         vals = rng.uniform(0.1, 3.0, size=(seg_ptr[-1], 4))
-        sums = segment_sums(vals, seg_ptr, seg_ptr.size - 1)
+        # entry k of the segments is row k, so the gather sums ``vals`` rows
+        segments = CSCMatrix(seg_ptr, np.arange(seg_ptr[-1]),
+                             (seg_ptr[-1], seg_ptr.size - 1))
+        sums = gather_spmm_values(segments, vals)
         seg_of_entry = np.repeat(np.arange(seg_ptr.size - 1), np.diff(seg_ptr))
         for j in range(vals.shape[1]):
             want = np.bincount(seg_of_entry, weights=vals[:, j],
@@ -143,6 +147,149 @@ class TestBatchedBitIdentity:
             bat = turbo_bc(g, algorithm="sccsc", batch_size=8)
             np.testing.assert_array_equal(bat.bc, seq.bc)
 
+
+def _hub_matrix():
+    """700 x 600 CSC with hub segments of degree >= 500 and >= 7 in both
+    directions (columns for the gather, rows for the scatter) plus empty
+    columns and rows."""
+    from scipy.sparse import csc_array
+
+    from repro.formats.csc import CSCMatrix
+
+    rng = np.random.default_rng(14)
+    dense = rng.random((700, 600)) < 0.01
+    dense[:650, 0] = True        # hub column, degree 650
+    dense[:9, 1] = True          # degree >= 9
+    dense[:, 2:4] = False        # empty columns
+    dense[5, 4:] = True          # hub row, degree ~600
+    dense[6, 4:14] = True        # degree >= 10
+    dense[690:, :] = False       # empty rows
+    return CSCMatrix.from_scipy(csc_array(dense))
+
+
+def _spmm_input(n: int, B: int, dtype, rng) -> np.ndarray:
+    """Frontier values spanning ~80 binades, so float64 sums round and their
+    order matters; int32 values are large enough that hub sums wrap."""
+    if np.dtype(dtype).kind == "f":
+        X = (rng.uniform(0.1, 3.0, (n, B))
+             * 2.0 ** rng.integers(-40, 40, (n, B))).astype(dtype)
+    else:
+        X = rng.integers(2**30, 2**31 - 1, (n, B), dtype=np.int32)
+    X[rng.random(n) < 0.3] = 0   # all-zero frontier rows
+    return X
+
+
+def _per_lane(reduce, seg_ptr, vals, n_segments) -> np.ndarray:
+    """Apply a 1-D segment reduction to each lane of storage-ordered values."""
+    out = np.zeros((n_segments, vals.shape[1]))
+    for j in range(vals.shape[1]):
+        out[:, j] = reduce(seg_ptr, np.ascontiguousarray(vals[:, j]), n_segments)
+    return out
+
+
+def _bincount(seg_ptr, v, n_segments):
+    seg = np.repeat(np.arange(n_segments), np.diff(seg_ptr))
+    return np.bincount(seg, weights=v, minlength=n_segments)
+
+
+def _reduceat(seg_ptr, v, n_segments):
+    out = np.zeros(n_segments)
+    nonempty = np.flatnonzero(np.diff(seg_ptr))
+    out[nonempty] = np.add.reduceat(v, seg_ptr[nonempty])
+    return out
+
+
+class TestSpmmEngineBitIdentity:
+    """The compiled gather/scatter products equal a per-lane ``np.bincount``
+    in storage order bit for bit (``.view(np.uint64)``), on inputs where
+    ``np.add.reduceat`` provably rounds differently."""
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32, np.int32))
+    @pytest.mark.parametrize("B", (1, 3, 8, 17))
+    def test_gather_and_scatter_match_bincount(self, dtype, B):
+        from repro.spmv._spmm import gather_spmm_values, scatter_spmm_values
+
+        csc = _hub_matrix()
+        assert csc.n_rows != csc.n_cols
+        rng = np.random.default_rng(B)
+        # gather: column segments over rows of X, in storage order
+        X = _spmm_input(csc.n_rows, B, dtype, rng)
+        vals = X[csc.row].astype(np.float64)
+        want = _per_lane(_bincount, csc.col_ptr, vals, csc.n_cols)
+        pairwise = _per_lane(_reduceat, csc.col_ptr, vals, csc.n_cols)
+        allowed = rng.random((csc.n_cols, B)) < 0.7
+        allowed[10:20] = False               # deselected segments
+        masked = np.where(allowed, want, 0.0)
+        # scatter: row segments over rows of Y, each in storage order
+        Y = _spmm_input(csc.n_cols, B, dtype, rng)
+        row_ptr, cols_in_row_order = csc.scatter_plan()
+        svals = Y[cols_in_row_order].astype(np.float64)
+        swant = _per_lane(_bincount, row_ptr, svals, csc.n_rows)
+        spairwise = _per_lane(_reduceat, row_ptr, svals, csc.n_rows)
+        if np.dtype(dtype).kind == "f":
+            # the fixture is not vacuous: pairwise summation rounds differently
+            assert (pairwise.view(np.uint64) != want.view(np.uint64)).any()
+            assert (spairwise.view(np.uint64) != swant.view(np.uint64)).any()
+        else:
+            # hub sums leave int32, so the kernels' output cast wraps
+            assert want.max() > np.iinfo(np.int32).max
+            assert swant.max() > np.iinfo(np.int32).max
+
+        for got, ref in ((gather_spmm_values(csc, X), want),
+                         (gather_spmm_values(csc, X, allowed), masked),
+                         (scatter_spmm_values(csc, Y), swant)):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("B", (1, 8))
+    def test_wrapping_int32_lanes_match_spmv(self, B):
+        from repro.spmv.sccsc import (
+            sccsc_spmm, sccsc_spmm_scatter, sccsc_spmv, sccsc_spmv_scatter,
+        )
+
+        csc = _hub_matrix()
+        rng = np.random.default_rng(7)
+        device = Device()
+        X = _spmm_input(csc.n_rows, B, np.int32, rng)
+        Y = _spmm_input(csc.n_cols, B, np.int32, rng)
+        got, _ = sccsc_spmm(device, csc, X)
+        sgot, _ = sccsc_spmm_scatter(device, csc, Y)
+        for j in range(B):
+            np.testing.assert_array_equal(got[:, j], sccsc_spmv(device, csc, X[:, j])[0])
+            np.testing.assert_array_equal(
+                sgot[:, j], sccsc_spmv_scatter(device, csc, Y[:, j])[0])
+
+
+class TestSpmmOperatorCache:
+    """The compiled operators are per-matrix traversal plans: built once,
+    zero-copy over the stored indices, and discarded with the matrix."""
+
+    @pytest.mark.parametrize("fmt", ("to_csc", "to_cooc"))
+    def test_built_once_and_zero_copy(self, fmt):
+        g = random_graph(40, 0.1, directed=True, seed=11)
+        mat = getattr(g, fmt)()
+        ops = mat.spmm_operators()
+        turbo_bc(g, sources=[0, 1, 2], batch_size=3,
+                 algorithm="sccooc" if fmt == "to_cooc" else "sccsc")
+        assert mat.spmm_operators() is ops
+        col_ptr = mat.col_ptr if fmt == "to_csc" else mat.column_ptr()
+        for op in ops:
+            assert np.shares_memory(op.indices, mat.row)
+            assert np.shares_memory(op.indptr, col_ptr)
+        assert np.shares_memory(ops[0].data, ops[1].data)
+
+    def test_edit_gets_fresh_operators_and_frees_old(self):
+        import gc
+        import weakref
+
+        g = random_graph(40, 0.1, directed=True, seed=11)
+        gather = g.to_csc().spmm_operators()[0]
+        g2 = g.apply_edits(added=[(0, 39), (39, 0)])
+        assert g2.to_csc().spmm_operators()[0] is not gather
+        dead = weakref.ref(gather)
+        del g, gather
+        gc.collect()
+        assert dead() is None
 
 def overflow_graph() -> Graph:
     """40 chained diamonds: sigma from vertex 0 is 2^40, overflowing int32."""
