@@ -144,24 +144,18 @@ class AdaptiveDispatcher:
         whose column stripe has an allowed column *and* whose row stripe has
         a frontier entry, their stored-entry total, and the longest
         output-stripe commit chain.  One O(n + tiles) reduction over the
-        cached tile directory -- same order as the degree reductions the
-        push estimates already pay.
+        cached tile directory, shared with the ``tcspmm`` launch that asks
+        for the same stripes (:func:`repro.spmv.tcspmm.active_tile_stats`).
         """
-        t_row, t_col, t_cnt = self.csc.tile_plan(W.MMA_TILE)
-        if t_row.size == 0:
-            return 0, 0, 0
         row_ok = _tcspmm.stripe_any(active_rows)
         col_ok = (
             _tcspmm.stripe_any(allowed)
             if allowed is not None
             else np.ones(-(-self.n // W.MMA_TILE), dtype=bool)
         )
-        active = col_ok[t_col] & row_ok[t_row]
-        n_active = int(np.count_nonzero(active))
-        if not n_active:
-            return 0, 0, 0
-        nnz_active = int(t_cnt[active].sum())
-        chain = int(np.bincount(t_col[active]).max())
+        n_active, nnz_active, _, chain, _ = _tcspmm.active_tile_stats(
+            self.csc, row_ok, col_ok
+        )
         return n_active, nnz_active, chain
 
     # -- cost estimation -----------------------------------------------------

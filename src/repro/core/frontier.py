@@ -11,6 +11,8 @@ as the SpMVs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.gpusim.device import Device
@@ -95,17 +97,11 @@ def frontier_update_kernel(
         "bfs_update",
         n,
         read_words=read_words,
-        sparse_writes=touched,
         extra_cycles=2 * touched.size,  # sigma read-modify-write lanes
     )
-    # S and sigma writes double the sparse write traffic.
-    stats = stats.merge(
-        KernelStats(
-            name="bfs_update",
-            dram_write_bytes=(W.gather_transactions(touched) if touched.size else 0)
-            * W.TRANSACTION_BYTES,
-        )
-    )
+    # Sparse S and sigma writes: twice the touched vertices' transactions.
+    touched_txn = W.gather_transactions(touched) if touched.size else 0
+    stats = replace(stats, dram_write_bytes=2 * touched_txn * W.TRANSACTION_BYTES)
     return f, c, device.launch(stats, tag=tag)
 
 

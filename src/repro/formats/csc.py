@@ -49,6 +49,8 @@ class CSCMatrix(BinaryMatrixBase):
         self._col_counts: np.ndarray | None = None
         self._scatter_plan: tuple[np.ndarray, np.ndarray] | None = None
         self._tile_plans: dict = {}
+        # One-entry memo of repro.spmv.tcspmm.active_tile_stats.
+        self._active_tile_memo: tuple | None = None
         self._spmm_ops: tuple | None = None
         self._txn_cache: dict = {}
         if not _skip_checks:

@@ -1,20 +1,24 @@
-"""Shared numerics of the batched (SpMM) kernel variants.
+"""The one numeric engine of every SpMV and SpMM kernel.
 
-The batched kernels multiply the sparse adjacency structure by an ``n x B``
-frontier *matrix* -- one column per BFS source -- instead of a vector.  Their
-results must match the per-source SpMV kernels bit for bit (DESIGN.md §7,
+The per-source (SpMV) kernels multiply the sparse adjacency structure by a
+frontier vector; the batched (SpMM) kernels by an ``n x B`` frontier
+*matrix*, one column per BFS source.  A vector is a width-1 matrix: both
+go through the same compiled SciPy sparse x dense product over the
+format's own column-major index arrays (``spmm_operators``), so batched
+lanes match the per-source kernels bit for bit (DESIGN.md §7,
 "Bit-exactness contract"):
 
-* the SpMV kernels accumulate with ``np.bincount``, which sums its weights
-  sequentially in storage order **in float64** and casts afterwards;
-* the batched sums are one compiled SciPy sparse x dense product over the
-  format's own column-major index arrays (``spmm_operators``).  Its
-  ``csr_matvecs``/``csc_matvecs`` loops start every output row at zero and
-  add ``1.0 * x`` one stored entry at a time in storage order -- the same
-  sequential float64 order as ``bincount``, unlike the pairwise loop of
-  ``np.add.reduceat`` (DESIGN.md §9);
-* masked-out (column, lane) sums are zeroed after the product, so a mask
-  never changes the arithmetic of an allowed lane.
+* SciPy's ``csr_matvec(s)``/``csc_matvec(s)`` loops start every output
+  entry at zero and add ``1.0 * x`` one stored entry at a time in storage
+  order, in float64 -- the sequential order of ``np.bincount``, unlike the
+  pairwise loop of ``np.add.reduceat`` (DESIGN.md §9);
+* masked-out gather sums are zeroed after the product, so a mask never
+  changes the arithmetic of an allowed column;
+* scatter products only see positive sources (``where(x > 0, x, 0)``);
+* the float64 accumulator is cast to the kernel dtype once, afterwards
+  (:func:`cast_like_spmv`).
+
+:mod:`repro.spmv.reference` keeps an independent ``np.add.at`` oracle.
 """
 
 from __future__ import annotations
@@ -40,14 +44,32 @@ def check_allowed_matrix(allowed, n_cols: int, B: int) -> np.ndarray:
     return allowed
 
 
+def as_frontier_vector(x, n_rows: int) -> np.ndarray:
+    """Validate a length-``n_rows`` frontier vector."""
+    x = np.asarray(x)
+    if x.shape != (n_rows,):
+        raise ValueError(f"x must have shape ({n_rows},), got {x.shape}")
+    return x
+
+
+def check_allowed_vector(allowed, n_cols: int) -> np.ndarray:
+    """Validate a per-column boolean mask; ``None`` allows every column."""
+    if allowed is None:
+        return np.ones(n_cols, dtype=bool)
+    allowed = np.asarray(allowed)
+    if allowed.shape != (n_cols,) or allowed.dtype != bool:
+        raise ValueError(f"allowed must be a boolean mask of shape ({n_cols},)")
+    return allowed
+
+
 def gather_spmm_values(fmt, X: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
     """Column sums ``sums[c, j] = sum_{k in column c} X[row[k], j]`` in float64.
 
     ``fmt`` is a :class:`~repro.formats.csc.CSCMatrix` or
     :class:`~repro.formats.coo.COOCMatrix`; ``allowed`` (an ``(n_cols, B)``
     bool mask) zeroes the masked-out (column, lane) sums.  The result is the
-    pre-cast accumulator of every per-column SpMV: callers cast to the
-    output dtype exactly like the SpMV kernels do.
+    pre-cast accumulator of every gather kernel; ``X`` may also be a
+    length-``n_rows`` vector with an ``(n_cols,)`` mask.
     """
     sums = fmt.spmm_operators()[0] @ X.astype(np.float64, copy=False)
     if allowed is not None and not allowed.all():
@@ -58,10 +80,28 @@ def gather_spmm_values(fmt, X: np.ndarray, allowed: np.ndarray | None = None) ->
 def scatter_spmm_values(fmt, X: np.ndarray) -> np.ndarray:
     """Row sums ``sums[r, j] = sum_{k in row r} X[col[k], j]`` in float64.
 
-    Each row accumulates its entries in column-major storage order, the
-    order of the per-source scatter SpMV's ``bincount``.
+    Each row accumulates its entries in column-major storage order; ``X``
+    may also be a vector.
     """
     return fmt.spmm_operators()[1] @ X.astype(np.float64, copy=False)
+
+
+def gather_spmv(fmt, x: np.ndarray, allowed, out_dtype) -> tuple[np.ndarray, int]:
+    """Masked gather ``y = A^T x`` of the SpMV kernels and its write count.
+
+    ``y`` stores only the positive sums (the kernels' ``if sum > 0``);
+    the count of those stores feeds the kernels' write traffic.
+    """
+    sums = gather_spmm_values(fmt, x, allowed)
+    y = cast_like_spmv(sums, out_dtype or x.dtype, positive_only=True)
+    return y, int(np.count_nonzero(sums > 0))
+
+
+def scatter_spmv(fmt, x: np.ndarray, out_dtype) -> np.ndarray:
+    """Scatter ``y = A x`` of the SpMV kernels: only positive ``x`` entries
+    contribute, and every accumulated row is stored."""
+    sums = scatter_spmm_values(fmt, np.where(x > 0, x, x.dtype.type(0)))
+    return cast_like_spmv(sums, out_dtype or x.dtype, positive_only=False)
 
 
 def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool) -> np.ndarray:
@@ -69,8 +109,7 @@ def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool) -> np.nd
 
     ``positive_only`` reproduces the gather kernels' ``sum > 0`` write
     sparsity (scatter kernels store every accumulated row).  Int overflow is
-    allowed to wrap exactly as in the SpMV kernels -- the sigma check
-    surfaces it.
+    allowed to wrap -- the sigma check surfaces it.
     """
     out = np.zeros(sums.shape, dtype=out_dtype)
     with np.errstate(invalid="ignore"):

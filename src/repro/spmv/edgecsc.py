@@ -20,8 +20,8 @@ fused (checked *before* the ``x`` gather), so discovered hub columns cost
 no atomics: the d=2 atomic storm of the unmasked COOC kernel on mawi-shape
 graphs never happens.
 
-Numerics are byte-for-byte the CSC kernels' bincount over column-major
-storage order, so per-level switching between this kernel and
+Numerics are byte-for-byte the CSC kernels' storage-order product
+(:mod:`repro.spmv._spmm`), so per-level switching between this kernel and
 scCSC/veCSC is bit-identical to any static kernel choice.
 """
 
@@ -70,28 +70,15 @@ def edgecsc_spmv(
     the hardware cost differs (flat per-edge work + CP_A lookup instead of
     a per-column scan).
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
+    x = M.as_frontier_vector(x, csc.n_rows)
     n = csc.n_cols
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
+    allowed = M.check_allowed_vector(allowed, n)
+    y, _ = M.gather_spmv(csc, x, allowed, out_dtype)
 
     col_of_nnz = csc.column_of_nnz()
     sel = allowed[col_of_nnz]
     sel_rows = csc.row[sel]
     vals = x[sel_rows]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
     m = csc.nnz
     l2 = device.spec.l2_bytes
     itemsize = x.dtype.itemsize
@@ -146,20 +133,13 @@ def edgecsc_spmv_scatter(
     Each thread whose column value is positive atomically adds it to its
     row's ``y`` entry; used by the backward stage on digraphs.
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
+    x = M.as_frontier_vector(x, csc.n_cols)
+    y = M.scatter_spmv(csc, x, out_dtype)
+
     n = csc.n_cols
     active = x > 0
     col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
+    rows_sel = csc.row[active[col_of_nnz]]
 
     m = csc.nnz
     l2 = device.spec.l2_bytes
@@ -178,11 +158,8 @@ def edgecsc_spmv_scatter(
         if n_contrib
         else 0
     )
-    serial = (
-        int(np.bincount(rows_sel, minlength=1).max()) * dtype_factor
-        if n_contrib
-        else 0
-    )
+    # Longest same-address atomic chain: active entries per row (exact).
+    serial = int((csc.spmm_operators()[1] @ active).max(initial=0)) * dtype_factor
     look = lookup_cycles(n)
     stats = KernelStats(
         name="edgecsc_spmv_scatter",

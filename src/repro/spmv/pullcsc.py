@@ -32,7 +32,7 @@ turn out to have no frontier parent this level.  Pull loses when the
 frontier is sparse (phase 1 rarely exits early, and the O(n) bitmap build
 is pure overhead) -- exactly the levels the dispatcher keeps on push.
 
-The accumulation is the same storage-order float64 ``bincount`` as every
+The accumulation is the same storage-order float64 product as every
 other kernel (:mod:`repro.spmv._spmm`), so results are bit-identical to
 ``sccsc``; only the KernelStats differ.
 """
@@ -100,7 +100,6 @@ def _pullcsc_stats(
     lanes: np.ndarray | None,
     B: int,
     write_txn: int,
-    n_flops: int,
     name: str,
     l2_bytes: int,
     *,
@@ -128,12 +127,10 @@ def _pullcsc_stats(
     total_scanned = int(scanned.sum())
 
     # Contributing entries (bitmap hits): the only scattered x gathers.
-    if csc.nnz:
-        col_of = csc.column_of_nnz()
-        hits = active_rows[csc.row] & allowed[col_of]
-        contrib_per_col = np.bincount(col_of[hits], minlength=n).astype(np.int64)
-    else:
-        contrib_per_col = np.zeros(n, dtype=np.int64)
+    # Active rows per column is an exact integer count in float64.
+    contrib_per_col = np.where(
+        allowed, csc.spmm_operators()[0] @ active_rows, 0
+    ).astype(np.int64)
     total_contrib = int(contrib_per_col.sum())
     lane_width = lanes if lanes is not None else 1
 
@@ -170,7 +167,7 @@ def _pullcsc_stats(
         requested_load_bytes=(2 * n + n * B + 2 * total_scanned) * 4
         + (n_rows * B + total_contrib * B) * x_itemsize,
         critical_warp_cycles=critical,
-        flops=n_flops,
+        flops=total_contrib * B,
     )
 
 
@@ -191,34 +188,14 @@ def pullcsc_spmv(
     product -- still a pull win: bitmap probes instead of scattered loads
     for the zero-heavy dependency vector).
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
+    x = M.as_frontier_vector(x, csc.n_rows)
     early_exit = allowed is not None
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
+    allowed = M.check_allowed_vector(allowed, csc.n_cols)
+    y, n_written = M.gather_spmv(csc, x, allowed, out_dtype)
 
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    vals = x[csc.row[sel]]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
-    active_rows = x > 0
     stats = _pullcsc_stats(
-        csc, allowed, active_rows, x.dtype, None, 1,
-        int(np.count_nonzero(written)),
-        int(np.count_nonzero(active_rows[csc.row[sel]])),
-        "pullcsc_spmv", device.spec.l2_bytes, early_exit=early_exit,
+        csc, allowed, x > 0, x.dtype, None, 1, n_written, "pullcsc_spmv",
+        device.spec.l2_bytes, early_exit=early_exit,
     )
     return y, device.launch(stats, tag=tag)
 
@@ -241,27 +218,13 @@ def pullcsc_spmv_scatter(
     on hub rows.  Results are bit-identical to :func:`sccsc_spmv_scatter`
     (same storage-order accumulation).
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
+    x = M.as_frontier_vector(x, csc.n_cols)
+    y = M.scatter_spmv(csc, x, out_dtype)
 
-    row_ptr, _cols = csc.scatter_plan()
-    row_deg = np.diff(row_ptr).astype(np.int64)
-    contrib_per_row = (
-        np.bincount(rows_sel, minlength=csc.n_rows).astype(np.int64)
-        if rows_sel.size
-        else np.zeros(csc.n_rows, dtype=np.int64)
-    )
+    row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
+    # Bitmap hits per row: active entries, an exact integer count in float64.
+    contrib_per_row = (csc.spmm_operators()[1] @ (x > 0)).astype(np.int64)
+    n_contrib = int(contrib_per_row.sum())
     dtype_factor = W.dtype_cycle_factor(x.dtype)
     item = x.dtype.itemsize
     l2 = device.spec.l2_bytes
@@ -279,7 +242,7 @@ def pullcsc_spmv_scatter(
             2 * W.coalesced_transactions(csc.n_rows)
             + int(np.sum((row_deg + 7) // 8))
             + W.capped_random_transactions(total, bitmap_words, 4, l2_bytes=l2)
-            + W.scalar_gather_transactions(int(rows_sel.size), csc.n_cols, item,
+            + W.scalar_gather_transactions(n_contrib, csc.n_cols, item,
                                            l2_bytes=l2)
             + W.coalesced_transactions(csc.n_cols, item)
             + W.coalesced_transactions(bitmap_words)
@@ -290,12 +253,12 @@ def pullcsc_spmv_scatter(
         )
         * W.TRANSACTION_BYTES,
         requested_load_bytes=(2 * csc.n_rows + 2 * total) * 4
-        + (csc.n_cols + int(rows_sel.size)) * item,
+        + (csc.n_cols + n_contrib) * item,
         critical_warp_cycles=W.max_warp_cycles(
             row_deg * _CRITICAL_PROBE_CYCLES
             + contrib_per_row * _CRITICAL_GATHER_CYCLES * dtype_factor
         ),
-        flops=int(rows_sel.size),
+        flops=n_contrib,
     )
     return y, device.launch(stats, tag=tag)
 
@@ -340,13 +303,9 @@ def pullcsc_spmm(
     write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
     lanes = allowed.sum(axis=1, dtype=np.int64)
     col_select = lanes > 0
-    active_rows = (X > 0).any(axis=1)
-    # active rows per column: an exact integer count in float64
-    union_hits = int((csc.spmm_operators()[0] @ active_rows)[col_select].sum())
     stats = _pullcsc_stats(
-        csc, col_select, active_rows, X.dtype, lanes, B, write_txn,
-        union_hits * B, "pullcsc_spmm", device.spec.l2_bytes,
-        early_exit=early_exit,
+        csc, col_select, (X > 0).any(axis=1), X.dtype, lanes, B, write_txn,
+        "pullcsc_spmm", device.spec.l2_bytes, early_exit=early_exit,
     )
     return Y, device.launch(stats, tag=tag)
 
@@ -369,22 +328,15 @@ def pullcsc_spmm_scatter(
     n = csc.n_cols
     B = X.shape[1]
     Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
     sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
-    active_cols = (Xp > 0).any(axis=1)
-    row_deg = np.diff(row_ptr).astype(np.int64)
-    hits = active_cols[cols_in_row_order]
-    if csc.nnz:
-        # Exact per-row hit counts (an int bincount, not kernel numerics).
-        row_of_plan = np.repeat(np.arange(csc.n_rows, dtype=np.int64), row_deg)
-        contrib_per_row = np.bincount(
-            row_of_plan[hits], minlength=csc.n_rows
-        ).astype(np.int64)
-    else:
-        contrib_per_row = np.zeros(csc.n_rows, dtype=np.int64)
+    row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
+    # Exact per-row hit counts: entries in a column active in any lane.
+    contrib_per_row = (
+        csc.spmm_operators()[1] @ (Xp > 0).any(axis=1)
+    ).astype(np.int64)
     total = int(row_deg.sum())
     total_contrib = int(contrib_per_row.sum())
     dtype_factor = W.dtype_cycle_factor(X.dtype)

@@ -35,8 +35,10 @@ _ACTIVE_CYCLES = 4
 
 def _sccooc_common(
     device: Device,
+    cooc: COOCMatrix,
     src_idx: np.ndarray,
     dst_idx: np.ndarray,
+    segment_sums,
     x: np.ndarray,
     n_out: int,
     name: str,
@@ -44,20 +46,22 @@ def _sccooc_common(
     out_dtype,
     x_gather_txn: int,
 ) -> tuple[np.ndarray, KernelLaunch]:
-    l2_bytes = device.spec.l2_bytes
     """Shared implementation of gather/scatter scCOOC (they differ only in
-    which COOC array is the load index and which is the store index)."""
+    which COOC array is the load index and which is the store index).
+
+    ``segment_sums`` is the matching storage-order product
+    (``M.gather_spmm_values`` or ``M.scatter_spmm_values``); the index
+    arrays drive the cost model only.
+    """
+    l2_bytes = device.spec.l2_bytes
     m = src_idx.size
-    vals = x[src_idx]
-    active = vals > 0
+    y = M.cast_like_spmv(
+        segment_sums(cooc, np.where(x > 0, x, x.dtype.type(0))), out_dtype,
+        positive_only=False,
+    )
+    active = x[src_idx] > 0
     n_active = int(np.count_nonzero(active))
     dst_active = dst_idx[active]
-
-    y = np.zeros(n_out, dtype=out_dtype)
-    if n_active:
-        acc = np.bincount(dst_active, weights=vals[active], minlength=n_out)
-        with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
 
     itemsize = x.dtype.itemsize
     dtype_factor = W.dtype_cycle_factor(x.dtype)
@@ -73,11 +77,8 @@ def _sccooc_common(
         if n_active
         else 0
     )
-    serial = (
-        int(np.bincount(dst_active, minlength=1).max()) * dtype_factor
-        if n_active
-        else 0
-    )
+    # Longest same-address atomic chain: active entries per destination.
+    serial = int(segment_sums(cooc, x > 0).max(initial=0)) * dtype_factor
     stats = KernelStats(
         name=name,
         threads=m,
@@ -109,11 +110,10 @@ def sccooc_spmv(
     Exploits the sparsity of ``x``: only entries whose source value is
     positive contribute (Algorithm 2, line 5).
     """
-    x = np.asarray(x)
-    if x.shape != (cooc.n_rows,):
-        raise ValueError(f"x must have shape ({cooc.n_rows},), got {x.shape}")
+    x = M.as_frontier_vector(x, cooc.n_rows)
     return _sccooc_common(
-        device, cooc.row, cooc.col, x, cooc.n_cols, "sccooc_spmv", tag,
+        device, cooc, cooc.row, cooc.col, M.gather_spmm_values, x,
+        cooc.n_cols, "sccooc_spmv", tag,
         out_dtype or x.dtype,
         cooc.full_gather_transactions("row", x.dtype.itemsize,
                                       l2_bytes=device.spec.l2_bytes),
@@ -130,11 +130,10 @@ def sccooc_spmv_scatter(
 ) -> tuple[np.ndarray, KernelLaunch]:
     """Scatter product ``y = A x`` with the scCOOC kernel (swapped roles of
     the two COOC index arrays); used by the backward stage on digraphs."""
-    x = np.asarray(x)
-    if x.shape != (cooc.n_cols,):
-        raise ValueError(f"x must have shape ({cooc.n_cols},), got {x.shape}")
+    x = M.as_frontier_vector(x, cooc.n_cols)
     return _sccooc_common(
-        device, cooc.col, cooc.row, x, cooc.n_rows, "sccooc_spmv_scatter", tag,
+        device, cooc, cooc.col, cooc.row, M.scatter_spmm_values, x,
+        cooc.n_rows, "sccooc_spmv_scatter", tag,
         out_dtype or x.dtype,
         cooc.full_gather_transactions("col", x.dtype.itemsize,
                                       l2_bytes=device.spec.l2_bytes),

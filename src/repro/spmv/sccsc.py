@@ -92,29 +92,10 @@ def sccsc_spmv(
     ``sigma == 0``); ``None`` processes every column (the unmasked SpMV of
     the backward stage on undirected graphs).
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    vals = x[csc.row[sel]]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
-    stats = _sccsc_stats(csc, allowed, x.dtype,
-                         int(np.count_nonzero(written)), "sccsc_spmv",
+    x = M.as_frontier_vector(x, csc.n_rows)
+    allowed = M.check_allowed_vector(allowed, csc.n_cols)
+    y, n_written = M.gather_spmv(csc, x, allowed, out_dtype)
+    stats = _sccsc_stats(csc, allowed, x.dtype, n_written, "sccsc_spmv",
                          device.spec.l2_bytes)
     return y, device.launch(stats, tag=tag)
 
@@ -134,29 +115,20 @@ def sccsc_spmv_scatter(
     digraphs.  The sparsity of ``x`` is exploited: masked columns cost one
     compare.
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
+    x = M.as_frontier_vector(x, csc.n_cols)
+    y = M.scatter_spmv(csc, x, out_dtype)
+
     n = csc.n_cols
     active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
-
     degrees = csc.column_counts().astype(np.int64)
     scanned = np.where(active, degrees, 0)
     total = int(scanned.sum())
     row_txn = int(np.sum((scanned + 7) // 8))
     # Per-lane serial atomic stores, thrashing-bounded like the gathers.
-    write_txn = W.scalar_gather_transactions(int(rows_sel.size), csc.n_rows, 4,
+    write_txn = W.scalar_gather_transactions(total, csc.n_rows, 4,
                                              l2_bytes=device.spec.l2_bytes)
-    serial = int(np.bincount(rows_sel, minlength=1).max()) if rows_sel.size else 0
+    # Longest same-address atomic chain: active entries per row (exact).
+    serial = int((csc.spmm_operators()[1] @ active).max(initial=0))
     stats = KernelStats(
         name="sccsc_spmv_scatter",
         threads=n,

@@ -16,16 +16,19 @@ pruning), so the MMA pipe only sees *active* tiles.  Each MMA op costs
 ``MMA_FLOPS_PER_OP`` dense flops against the spec's ``mma_tflops`` ceiling
 no matter how sparse the tile: the counters' tile-fill occupancy
 (``flops / (mma_ops * MMA_FLOPS_PER_OP / 2)``) is exactly the fraction of
-that dense work which was useful.  The path therefore wins only on wide
-batches over dense-frontier levels of clustered graphs -- which is when the
-adaptive dispatcher picks it.
+that dense work which was useful.  Wide batches over dense-frontier
+levels amortise a tile's decode over up to 16 lanes; but pruning also makes
+a B = 1 level cost only its few active tiles, so on deep sparse-frontier
+traversals (road networks) the adaptive dispatcher picks this kernel for
+almost every per-source SpMV.  The dispatcher's estimate and the launch
+share one active-tile reduction per level (:func:`active_tile_stats`).
 
 The modeled MMA pipe is dtype-agnostic (an A100-style double-precision
 tensor pipe, scaled to this part); see DeviceSpec.mma_tflops for why this
 is a documented simulated extension of the paper's Pascal card.
 
 The *results* never touch a tensor-core numeric path: accumulation is the
-same storage-order float64 ``bincount`` as every other kernel
+same storage-order float64 product as every other kernel
 (:mod:`repro.spmv._spmm`), so outputs are bit-identical to ``sccsc`` --
 only the KernelStats (and so the modeled time) reflect the MMA execution.
 """
@@ -50,15 +53,60 @@ _DECODE_CYCLES = 2
 _MMA_ISSUE_CYCLES = 8
 
 
-def stripe_any(mask: np.ndarray, tile: int = W.MMA_TILE) -> np.ndarray:
-    """Per-stripe OR of a boolean vector: ``out[s] = mask[s*tile:(s+1)*tile].any()``."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.size == 0:
-        return np.zeros(0, dtype=bool)
-    pad = (-mask.size) % tile
+def stripe_any(mask: np.ndarray) -> np.ndarray:
+    """Per-stripe OR of a boolean vector over ``MMA_TILE``-wide stripes:
+    ``out[s] = mask[s*16:(s+1)*16].any()``."""
+    mask = np.ascontiguousarray(mask, dtype=bool)
+    pad = (-mask.size) % W.MMA_TILE
     if pad:
         mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
-    return mask.reshape(-1, tile).any(axis=1)
+    # A bool is one 0/1 byte, so a stripe is set iff one of its 8-byte words
+    # is nonzero; OR-ing the word columns is 3-12x faster than a short-axis
+    # any() at n = 10k-100k.
+    words = mask.view(np.uint64).reshape(-1, W.MMA_TILE // 8)
+    acc = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        acc |= words[:, j]
+    return acc != 0
+
+
+def active_tile_stats(
+    csc: CSCMatrix, row_stripe_ok: np.ndarray, col_stripe_ok: np.ndarray
+) -> tuple[int, int, int, int, int]:
+    """Reduce the tile directory to the tiles active under two stripe bitmaps.
+
+    A tile is active when its row stripe holds a frontier entry and its
+    column stripe an allowed column.  Returns ``(n_active, nnz_active,
+    max_tile, chain_col, chain_row)``: the active tile count, their stored
+    entries, the fullest active tile, and the most active tiles sharing one
+    column / row stripe (the commit chains of gather / scatter products).
+
+    The dispatcher's estimate and the launch it picks ask for the same
+    bitmaps, so the last answer is memoised on the matrix, keyed by the
+    bitmaps' bytes; an edit builds a new matrix and so a fresh memo.
+    """
+    key = (row_stripe_ok.tobytes(), col_stripe_ok.tobytes())
+    memo = csc._active_tile_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    t_row, t_col, t_cnt = csc.tile_plan(W.MMA_TILE)
+    active = (
+        col_stripe_ok[t_col] & row_stripe_ok[t_row]
+        if t_row.size
+        else np.zeros(0, dtype=bool)
+    )
+    n_active = int(np.count_nonzero(active))
+    if n_active:
+        cnt = t_cnt[active]
+        stats = (
+            n_active, int(cnt.sum()), int(cnt.max()),
+            int(np.bincount(t_col[active]).max()),
+            int(np.bincount(t_row[active]).max()),
+        )
+    else:
+        stats = (0, 0, 0, 0, 0)
+    csc._active_tile_memo = (key, stats)
+    return stats
 
 
 def _tc_stats(
@@ -81,23 +129,18 @@ def _tc_stats(
     "row" for scatter): tiles sharing an output stripe commit their
     C-fragments in sequence, which is the kernel's critical path.
     """
-    t_row, t_col, t_cnt = csc.tile_plan(W.MMA_TILE)
-    if t_row.size:
-        active = col_stripe_ok[t_col] & row_stripe_ok[t_row]
-    else:
-        active = np.zeros(0, dtype=bool)
-    n_active = int(np.count_nonzero(active))
-    nnz_active = int(t_cnt[active].sum()) if n_active else 0
-    max_tile = int(t_cnt[active].max()) if n_active else 0
-    chain_of = t_col if chain_axis == "col" else t_row
-    chain = int(np.bincount(chain_of[active]).max()) if n_active else 0
+    n_tiles = csc.tile_plan(W.MMA_TILE)[0].size
+    n_active, nnz_active, max_tile, chain_col, chain_row = active_tile_stats(
+        csc, row_stripe_ok, col_stripe_ok
+    )
+    chain = chain_col if chain_axis == "col" else chain_row
 
     mma_per_tile = -(-B // W.MMA_TILE)
     mma_ops = W.mma_ops_for_tiles(n_active, B)
     item = np.dtype(x_dtype).itemsize
     n = csc.n_cols
 
-    dir_txn = W.coalesced_transactions(3 * t_row.size)
+    dir_txn = W.coalesced_transactions(3 * n_tiles)
     ent_txn = W.coalesced_transactions(nnz_active)
     x_txn = W.bwide_gather_transactions(
         n_active * W.MMA_TILE, B, csc.n_rows, item, l2_bytes=l2_bytes
@@ -120,7 +163,7 @@ def _tc_stats(
         dram_read_bytes=(dir_txn + ent_txn + x_txn + mask_txn + stripe_txn)
         * W.TRANSACTION_BYTES,
         dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(3 * t_row.size + nnz_active + (n * B if masked else 0)) * 4
+        requested_load_bytes=(3 * n_tiles + nnz_active + (n * B if masked else 0)) * 4
         + n_active * W.MMA_TILE * B * item,
         critical_warp_cycles=critical,
         flops=n_flops,
@@ -140,38 +183,22 @@ def tcspmm_spmv(
     """Masked gather product on the blocked tensor-core path (B = 1).
 
     A single frontier vector fills one of 16 operand lanes, so tile-fill is
-    poor by construction -- the dispatcher only reaches for this on wide
-    batches, but the SpMV form exists so the static ``tcspmm`` algorithm
-    and the conformance configs exercise the same code path everywhere.
+    poor by construction; what this form wins on is pruning.  On deep,
+    sparse-frontier traversals only a handful of tiles are active per level,
+    so the dispatcher picks it for nearly every per-source launch there.
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
+    x = M.as_frontier_vector(x, csc.n_rows)
     masked = allowed is not None
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    vals = x[csc.row[sel]]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
+    allowed = M.check_allowed_vector(allowed, csc.n_cols)
+    y, n_written = M.gather_spmv(csc, x, allowed, out_dtype)
 
     active_rows = x > 0
+    # allowed entries with an active row: an exact integer in float64
+    n_flops = int(allowed @ (csc.spmm_operators()[0] @ active_rows))
     stats = _tc_stats(
         csc, stripe_any(active_rows), stripe_any(allowed), 1, x.dtype,
-        int(np.count_nonzero(written)),
-        int(np.count_nonzero(active_rows[csc.row[sel]])),
-        "tcspmm_spmv", device.spec.l2_bytes, chain_axis="col", masked=masked,
+        n_written, n_flops, "tcspmm_spmv", device.spec.l2_bytes,
+        chain_axis="col", masked=masked,
     )
     return y, device.launch(stats, tag=tag)
 
@@ -186,25 +213,15 @@ def tcspmm_spmv_scatter(
 ) -> tuple[np.ndarray, KernelLaunch]:
     """Scatter product ``y = A x`` on the blocked path: tiles with an active
     column stripe multiply un-transposed, committing into row stripes."""
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
+    x = M.as_frontier_vector(x, csc.n_cols)
+    y = M.scatter_spmv(csc, x, out_dtype)
 
+    active = x > 0
     n_tile_rows = -(-csc.n_rows // W.MMA_TILE)
     stats = _tc_stats(
         csc, np.ones(n_tile_rows, dtype=bool), stripe_any(active), 1, x.dtype,
         int(np.count_nonzero(y != 0)),
-        int(rows_sel.size),
+        int(csc.column_counts()[active].sum(dtype=np.int64)),
         "tcspmm_spmv_scatter", device.spec.l2_bytes, chain_axis="row",
         masked=False,
     )

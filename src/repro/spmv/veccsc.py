@@ -98,32 +98,16 @@ def veccsc_spmv(
     Semantically identical to :func:`repro.spmv.sccsc.sccsc_spmv` -- only
     the hardware cost differs.
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
+    x = M.as_frontier_vector(x, csc.n_rows)
     x_txn = None
     if allowed is None:
-        allowed = np.ones(n, dtype=bool)
         x_txn = csc.full_gather_transactions(x.dtype.itemsize,
                                              l2_bytes=device.spec.l2_bytes)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    sel_rows = csc.row[sel]
-    sums = np.bincount(col_of_nnz[sel], weights=x[sel_rows], minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
-    stats = _veccsc_stats(csc, allowed, x, sel_rows,
-                          int(np.count_nonzero(written)), "veccsc_spmv",
+    allowed = M.check_allowed_vector(allowed, csc.n_cols)
+    y, n_written = M.gather_spmv(csc, x, allowed, out_dtype)
+    # The per-warp x access sequence: the processed columns' row indices.
+    sel_rows = csc.row[allowed[csc.column_of_nnz()]] if x_txn is None else None
+    stats = _veccsc_stats(csc, allowed, x, sel_rows, n_written, "veccsc_spmv",
                           device.spec.l2_bytes, x_txn=x_txn)
     return y, device.launch(stats, tag=tag)
 
@@ -142,22 +126,13 @@ def veccsc_spmv_scatter(
     column's rows with coalesced accesses; used by the backward stage on
     digraphs.
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    n = csc.n_cols
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
+    x = M.as_frontier_vector(x, csc.n_cols)
+    y = M.scatter_spmv(csc, x, out_dtype)
 
-    serial = int(np.bincount(rows_sel, minlength=1).max()) if rows_sel.size else 0
+    active = x > 0
+    rows_sel = csc.row[active[csc.column_of_nnz()]]
+    # Longest same-address atomic chain: active entries per row (exact).
+    serial = int((csc.spmm_operators()[1] @ active).max(initial=0))
     stats = _veccsc_stats(csc, active, x, rows_sel,
                           int(rows_sel.size), "veccsc_spmv_scatter",
                           device.spec.l2_bytes, serial_updates=serial)

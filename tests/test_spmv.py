@@ -157,3 +157,240 @@ class TestKernelStats:
         for name, k in {**GATHER_KERNELS, **SCATTER_KERNELS}.items():
             y, _ = k(device, g, x)
             assert not y.any(), name
+
+
+# -- one numeric engine for SpMV and SpMM ------------------------------------
+
+
+def _hub_csc():
+    """700 x 600 CSC with a hub column and a hub row of degree >= 500, plus
+    empty columns and empty rows."""
+    from scipy.sparse import csc_array
+
+    from repro.formats.csc import CSCMatrix
+
+    rng = np.random.default_rng(15)
+    dense = rng.random((700, 600)) < 0.01
+    dense[:650, 0] = True        # hub column, degree 650
+    dense[:, 2:4] = False        # empty columns
+    dense[5, 4:] = True          # hub row, degree ~600
+    dense[690:, :] = False       # empty rows
+    return CSCMatrix.from_scipy(csc_array(dense))
+
+
+def _engine_input(n: int, dtype, rng) -> np.ndarray:
+    """Values spanning ~80 binades (float sums round, so order matters) with
+    some negatives; int32 values large enough that hub sums wrap."""
+    if np.dtype(dtype).kind == "f":
+        x = (rng.uniform(0.1, 3.0, n) * 2.0 ** rng.integers(-40, 40, n)).astype(dtype)
+        x[rng.random(n) < 0.1] *= -1
+    else:
+        x = rng.integers(2**30, 2**31 - 1, n, dtype=np.int32)
+    x[rng.random(n) < 0.3] = 0
+    return x
+
+
+def _bincount_gather(csc, x, allowed):
+    """The per-source gather formula the kernels used before the shared
+    engine: a fancy-indexed ``bincount`` over the allowed columns."""
+    col_of_nnz = csc.column_of_nnz()
+    sel = allowed[col_of_nnz]
+    sums = np.bincount(col_of_nnz[sel], weights=x[csc.row[sel]], minlength=csc.n_cols)
+    y = np.zeros(csc.n_cols, dtype=x.dtype)
+    written = sums > 0
+    with np.errstate(invalid="ignore"):
+        y[written] = sums[written].astype(x.dtype, copy=False)
+    return y
+
+
+def _bincount_positive(src_idx, dst_idx, x, n_out):
+    """The former scatter / scCOOC formula: positive sources only."""
+    vals = x[src_idx]
+    active = vals > 0
+    y = np.zeros(n_out, dtype=x.dtype)
+    if active.any():
+        acc = np.bincount(dst_idx[active], weights=vals[active], minlength=n_out)
+        with np.errstate(invalid="ignore"):
+            y[:] = acc.astype(x.dtype, copy=False)
+    return y
+
+
+def _max_chain(idx) -> int:
+    return int(np.bincount(idx, minlength=1).max()) if idx.size else 0
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64 if a.itemsize == 8 else np.uint32)
+
+
+ENGINE_KERNELS = ("sccsc", "veccsc", "edgecsc", "pullcsc", "tcspmm")
+ENGINE_DTYPES = (np.float64, np.float32, np.int32)
+
+
+class TestSpmvEngineBitIdentity:
+    """Every B = 1 entry point equals the former ``bincount`` formula bit for
+    bit, and the stats counts now taken from the compiled operators equal
+    the former fancy-index counts."""
+
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("dtype", ENGINE_DTYPES)
+    @pytest.mark.parametrize("name", ENGINE_KERNELS)
+    def test_gather(self, name, dtype, masked):
+        import repro.spmv as S
+
+        csc = _hub_csc()
+        rng = np.random.default_rng(3)
+        x = _engine_input(csc.n_rows, dtype, rng)
+        allowed = rng.random(csc.n_cols) < 0.6 if masked else None
+        allowed_all = allowed if masked else np.ones(csc.n_cols, dtype=bool)
+        want = _bincount_gather(csc, x, allowed_all)
+        if dtype is np.int32:
+            assert want.min() < 0  # the hub sum wrapped
+        y, launch = getattr(S, f"{name}_spmv")(Device(), csc, x, allowed=allowed)
+        assert y.dtype == want.dtype
+        np.testing.assert_array_equal(_bits(y), _bits(want))
+        if name in ("tcspmm", "pullcsc"):
+            sel = allowed_all[csc.column_of_nnz()]
+            assert launch.stats.flops == int(np.count_nonzero(x[csc.row[sel]] > 0))
+
+    @pytest.mark.parametrize("dtype", ENGINE_DTYPES)
+    @pytest.mark.parametrize("name", ENGINE_KERNELS)
+    def test_scatter(self, name, dtype):
+        import repro.spmv as S
+        from repro.gpusim import warp as W
+
+        csc = _hub_csc()
+        x = _engine_input(csc.n_cols, dtype, np.random.default_rng(4))
+        col_of_nnz = csc.column_of_nnz()
+        want = _bincount_positive(col_of_nnz, csc.row, x, csc.n_rows)
+        y, launch = getattr(S, f"{name}_spmv_scatter")(Device(), csc, x)
+        assert y.dtype == want.dtype
+        np.testing.assert_array_equal(_bits(y), _bits(want))
+        rows_sel = csc.row[(x > 0)[col_of_nnz]]
+        stats = launch.stats
+        if name in ("sccsc", "veccsc"):
+            assert stats.serial_updates == _max_chain(rows_sel)
+        elif name == "edgecsc":
+            assert stats.serial_updates == (
+                _max_chain(rows_sel) * W.dtype_cycle_factor(x.dtype))
+        else:
+            assert stats.flops == rows_sel.size
+
+    @pytest.mark.parametrize("scatter", (False, True))
+    @pytest.mark.parametrize("dtype", ENGINE_DTYPES)
+    def test_sccooc(self, dtype, scatter):
+        from repro.formats.convert import csc_to_cooc
+        from repro.gpusim import warp as W
+
+        cooc = csc_to_cooc(_hub_csc())
+        if scatter:
+            src, dst, n_in, n_out = cooc.col, cooc.row, cooc.n_cols, cooc.n_rows
+            kernel = sccooc_spmv_scatter
+        else:
+            src, dst, n_in, n_out = cooc.row, cooc.col, cooc.n_rows, cooc.n_cols
+            kernel = sccooc_spmv
+        x = _engine_input(n_in, dtype, np.random.default_rng(5))
+        want = _bincount_positive(src, dst, x, n_out)
+        y, launch = kernel(Device(), cooc, x)
+        np.testing.assert_array_equal(_bits(y), _bits(want))
+        assert launch.stats.serial_updates == (
+            _max_chain(dst[x[src] > 0]) * W.dtype_cycle_factor(x.dtype))
+
+
+class TestActiveTileMemo:
+    """The active-tile reduction is shared by the dispatcher's estimate and
+    the ``tcspmm`` launch through a one-entry memo on the matrix."""
+
+    @staticmethod
+    def _from_scratch(csc, row_ok, col_ok):
+        t_row, t_col, t_cnt = csc.tile_plan(16)
+        active = col_ok[t_col] & row_ok[t_row]
+        if not active.any():
+            return (0, 0, 0, 0, 0)
+        return (int(active.sum()), int(t_cnt[active].sum()), int(t_cnt[active].max()),
+                int(np.bincount(t_col[active]).max()),
+                int(np.bincount(t_row[active]).max()))
+
+    def test_matches_fresh_reduction_as_masks_change(self):
+        from repro.spmv.tcspmm import active_tile_stats, stripe_any
+
+        csc = random_graph(200, 0.03, directed=True, seed=8).to_csc()
+        rng = np.random.default_rng(8)
+        rows = [rng.random(200) < p for p in (0.04, 0.04, 0.3, 0.0)]
+        cols = [rng.random(200) < q for q in (0.04, 0.04, 0.3, 1.0)]
+        # each step changes the row mask, the column mask, both, or neither
+        masks = [(rows[0], cols[0]), (rows[0], cols[1]), (rows[1], cols[1]),
+                 (rows[0], cols[0]), (rows[0], cols[0]), (rows[2], cols[2]),
+                 (rows[3], cols[3])]
+        seen = []
+        for r, c in masks:
+            row_ok, col_ok = stripe_any(r), stripe_any(c)
+            got = active_tile_stats(csc, row_ok, col_ok)
+            assert got == self._from_scratch(csc, row_ok, col_ok)
+            assert active_tile_stats(csc, row_ok, col_ok) == got   # memo hit
+            assert csc._active_tile_memo[1] == got
+            seen.append(got)
+        # the fixture is not vacuous: single-mask changes change the answer
+        assert seen[0] != seen[1] != seen[2]
+
+    def test_edited_matrix_never_sees_the_old_entry(self):
+        from repro.spmv.tcspmm import active_tile_stats
+
+        g = random_graph(64, 0.02, directed=True, seed=9)
+        csc = g.to_csc()
+        row_ok = np.ones(4, dtype=bool)
+        col_ok = np.ones(4, dtype=bool)
+        old = active_tile_stats(csc, row_ok, col_ok)
+        # a dense new block in tile (3, 3) changes every statistic
+        block = [(r, c) for r in range(48, 64) for c in range(48, 64) if r != c]
+        g2 = g.apply_edits(added=block)
+        csc2 = g2.to_csc()
+        assert csc2 is not csc and csc2._active_tile_memo is None
+        new = active_tile_stats(csc2, row_ok, col_ok)
+        assert new != old
+        assert new == self._from_scratch(csc2, row_ok, col_ok)
+        assert active_tile_stats(csc, row_ok, col_ok) == old
+
+    def test_audit_dispatch_runs_stay_bit_identical(self):
+        from repro.core.bc import turbo_bc
+        from repro.graphs.generators.road import road_network_graph
+        from repro.obs import telemetry as obs
+
+        g = road_network_graph(12, 12, segments=2, keep_prob=0.8, seed=2)
+        runs = []
+        for audit in (False, True):
+            with obs.session(audit_dispatch=audit) as tel:
+                res = turbo_bc(g, sources=[0, 7], algorithm="adaptive",
+                               device=Device())
+            runs.append((res, tel.dispatch_decisions))
+        (plain, plain_dec), (audited, audit_dec) = runs
+        assert any(d.kernel == "tcspmm" for d in plain_dec)
+        assert plain.bc.tobytes() == audited.bc.tobytes()
+        assert plain.stats.gpu_time_s == audited.stats.gpu_time_s
+        assert plain.stats.kernel_launches == audited.stats.kernel_launches
+        assert [d.est_us for d in plain_dec] == [d.est_us for d in audit_dec]
+        for p, a in zip(plain_dec, audit_dec):
+            assert p.measured_us[p.kernel] == a.measured_us[a.kernel]
+
+
+def test_only_the_engine_sums_with_bincount_weights():
+    """One numeric engine: no kernel module accumulates values with a
+    weighted ``np.bincount`` of its own (counting bincounts are fine)."""
+    import ast
+    from pathlib import Path
+
+    import repro.spmv
+
+    allowed = {"_spmm.py", "reference.py"}
+    offenders = []
+    for path in sorted(Path(repro.spmv.__file__).parent.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "bincount"
+                    and (len(node.args) > 1
+                         or any(k.arg == "weights" for k in node.keywords))):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
