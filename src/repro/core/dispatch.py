@@ -39,6 +39,7 @@ import numpy as np
 from repro.formats.csc import CSCMatrix
 from repro.gpusim import warp as W
 from repro.gpusim.device import DeviceSpec
+from repro.spmv._spmm import lane_any
 from repro.spmv.edgecsc import lookup_cycles
 from repro.spmv import sccsc as _sccsc
 from repro.spmv import veccsc as _veccsc
@@ -423,8 +424,8 @@ class AdaptiveDispatcher:
         """Kernel for a batched forward masked gather ``Ft = A^T F``."""
         return self._decide(
             "forward", self._next_depth("forward"),
-            active_rows=(X > 0).any(axis=1),
-            allowed=allowed.any(axis=1),
+            active_rows=lane_any(X > 0),
+            allowed=lane_any(allowed),
             dtype=X.dtype,
             batch=X.shape[1],
         ).kernel
@@ -433,7 +434,7 @@ class AdaptiveDispatcher:
         """Kernel for a batched backward unmasked product."""
         return self._decide(
             "backward", self._next_depth("backward"),
-            active_rows=(X > 0).any(axis=1),
+            active_rows=lane_any(X > 0),
             allowed=None,
             dtype=X.dtype,
             batch=X.shape[1],

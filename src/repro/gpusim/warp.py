@@ -269,16 +269,22 @@ def atomic_conflict_cycles(
         # Pad with unique sentinels so padding adds no conflicts.
         sentinel = np.arange(pad, dtype=np.int64) + (np.int64(t.max()) + 1 if t.size else 0)
         t = np.concatenate([t.astype(np.int64), sentinel])
-    per_warp = np.sort(t.reshape(-1, warp_size), axis=1)
-    # Run lengths: max consecutive equal entries per warp.
-    eq = np.diff(per_warp, axis=1) == 0
-    # max run of True per row, computed by cumulative trick
-    run = np.zeros(eq.shape[0], dtype=np.int64)
-    cur = np.zeros(eq.shape[0], dtype=np.int64)
-    for j in range(eq.shape[1]):  # warp_size-1 = 31 iterations, vectorised over warps
-        cur = np.where(eq[:, j], cur + 1, 0)
-        np.maximum(run, cur, out=run)
-    return int(run.sum()) * cycles_per_conflict
+    flat = np.sort(t.reshape(-1, warp_size), axis=1).reshape(-1)
+    # dup[i]: target i repeats target i - 1 of the same warp.  Sorted per
+    # warp, a group of k equal targets is a run of k - 1 dups, and the
+    # trailing False closes the last run.
+    dup = np.zeros(flat.size + 1, dtype=bool)
+    np.equal(flat[1:], flat[:-1], out=dup[1:-1])
+    dup[::warp_size] = False
+    edges = np.flatnonzero(dup[1:] != dup[:-1])  # alternating run starts/ends
+    if edges.size == 0:
+        return 0
+    starts, ends = edges[0::2], edges[1::2]
+    # No run spans two warps; reduce each warp's runs to its longest.
+    warp = starts // warp_size
+    first = np.flatnonzero(np.concatenate(([True], warp[1:] != warp[:-1])))
+    longest = np.maximum.reduceat(ends - starts, first)
+    return int(longest.sum()) * cycles_per_conflict
 
 
 def warp_count(n_threads: int, *, warp_size: int = WARP_SIZE) -> int:

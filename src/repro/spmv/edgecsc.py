@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.formats.base import INDEX_DTYPE
 from repro.formats.csc import CSCMatrix
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch, KernelStats
@@ -217,13 +218,16 @@ def edgecsc_spmm(
     itemsize = X.dtype.itemsize
     dtype_factor = W.dtype_cycle_factor(X.dtype)
     degrees = csc.column_counts()
-    lanes = allowed.sum(axis=1, dtype=np.int64)
-    scanned = np.where(lanes > 0, degrees, 0).astype(np.int64)
+    lanes = M.lane_count(allowed)
+    col_select = lanes > 0
+    scanned = np.where(col_select, degrees, 0).astype(np.int64)
     total_scanned = int(scanned.sum())
     lane_entries = int((scanned * lanes).sum())
-    sel = (lanes > 0)[csc.column_of_nnz()]
-    dst_sel = csc.column_of_nnz()[sel]
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
+    # Entries of the selected columns in storage order (column-major), i.e.
+    # column_of_nnz() filtered by col_select, without an O(nnz) mask pass.
+    sel_cols = np.flatnonzero(col_select).astype(INDEX_DTYPE)
+    dst_sel = np.repeat(sel_cols, degrees[col_select])
+    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
     look = lookup_cycles(n)
     read_txn = (
         W.coalesced_transactions(m)                                  # row_A sweep
@@ -237,7 +241,8 @@ def edgecsc_spmm(
         if written_cols
         else 0
     )
-    serial = int(np.bincount(dst_sel, minlength=1).max()) * dtype_factor if dst_sel.size else 0
+    # Longest same-address chain: every entry of a selected column hits it.
+    serial = int(degrees[col_select].max()) * dtype_factor if dst_sel.size else 0
     stats = KernelStats(
         name="edgecsc_spmm",
         threads=m,
@@ -273,7 +278,8 @@ def edgecsc_spmm_scatter(
     X = M.as_frontier_matrix(X, csc.n_cols)
     n = csc.n_cols
     B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
+    pos = X > 0
+    Xp = np.where(pos, X, X.dtype.type(0))
     sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
@@ -283,7 +289,7 @@ def edgecsc_spmm_scatter(
     itemsize = X.dtype.itemsize
     dtype_factor = W.dtype_cycle_factor(X.dtype)
     col_of_nnz = csc.column_of_nnz()
-    lanes_per_col = np.count_nonzero(Xp, axis=1).astype(np.int64)
+    lanes_per_col = M.lane_count(pos)
     entry_lanes = lanes_per_col[col_of_nnz]
     lane_entries = int(entry_lanes.sum())
     contrib = entry_lanes > 0

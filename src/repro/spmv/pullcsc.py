@@ -299,12 +299,12 @@ def pullcsc_spmm(
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
+    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
     write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    lanes = allowed.sum(axis=1, dtype=np.int64)
+    lanes = M.lane_count(allowed)
     col_select = lanes > 0
     stats = _pullcsc_stats(
-        csc, col_select, (X > 0).any(axis=1), X.dtype, lanes, B, write_txn,
+        csc, col_select, M.lane_any(X > 0), X.dtype, lanes, B, write_txn,
         "pullcsc_spmm", device.spec.l2_bytes, early_exit=early_exit,
     )
     return Y, device.launch(stats, tag=tag)
@@ -327,7 +327,8 @@ def pullcsc_spmm_scatter(
     X = M.as_frontier_matrix(X, csc.n_cols)
     n = csc.n_cols
     B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
+    pos = X > 0
+    Xp = np.where(pos, X, X.dtype.type(0))
     sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
@@ -335,7 +336,7 @@ def pullcsc_spmm_scatter(
     row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
     # Exact per-row hit counts: entries in a column active in any lane.
     contrib_per_row = (
-        csc.spmm_operators()[1] @ (Xp > 0).any(axis=1)
+        csc.spmm_operators()[1] @ M.lane_any(pos)
     ).astype(np.int64)
     total = int(row_deg.sum())
     total_contrib = int(contrib_per_row.sum())

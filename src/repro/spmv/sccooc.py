@@ -171,11 +171,12 @@ def _sccooc_spmm_common(
     l2_bytes = device.spec.l2_bytes
     m = src_idx.size
     B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
+    pos = X > 0
+    Xp = np.where(pos, X, X.dtype.type(0))
     sums = segment_sums(cooc, Xp)
     y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
-    lanes_per_src = np.count_nonzero(Xp, axis=1)
+    lanes_per_src = M.lane_count(pos)
     src_lanes = lanes_per_src[src_idx]
     entry_active = src_lanes > 0
     n_active = int(np.count_nonzero(entry_active))

@@ -256,10 +256,10 @@ def tcspmm_spmm(
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
+    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
     write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    active_rows = (X > 0).any(axis=1)
-    lanes = allowed.sum(axis=1, dtype=np.int64)
+    active_rows = M.lane_any(X > 0)
+    lanes = M.lane_count(allowed)
     col_select = lanes > 0
     # allowed lanes x active rows per column: an exact integer in float64
     n_flops = int(lanes @ (csc.spmm_operators()[0] @ active_rows))
@@ -283,15 +283,16 @@ def tcspmm_spmm_scatter(
     bit-identical to B separate :func:`tcspmm_spmv_scatter` calls."""
     X = M.as_frontier_matrix(X, csc.n_cols)
     B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
+    pos = X > 0
+    Xp = np.where(pos, X, X.dtype.type(0))
     sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
-    active_cols = (Xp > 0).any(axis=1)
-    lanes = np.count_nonzero(Xp, axis=1).astype(np.int64)
+    lanes = M.lane_count(pos)
+    active_cols = lanes > 0
     n_flops = int(lanes @ csc.column_counts())
-    written_rows = int(np.count_nonzero((sums != 0).any(axis=1)))
+    written_rows = int(np.count_nonzero(M.lane_any(sums != 0)))
     write_txn = written_rows * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
     n_tile_rows = -(-csc.n_rows // W.MMA_TILE)
     stats = _tc_stats(

@@ -227,9 +227,9 @@ def veccsc_spmm(
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
 
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
+    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
     write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    lanes = allowed.sum(axis=1, dtype=np.int64)
+    lanes = M.lane_count(allowed)
     stats = _veccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn, "veccsc_spmm",
                                device.spec.l2_bytes)
     return Y, device.launch(stats, tag=tag)
@@ -250,12 +250,13 @@ def veccsc_spmm_scatter(
     """
     X = M.as_frontier_matrix(X, csc.n_cols)
     B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
+    pos = X > 0
+    Xp = np.where(pos, X, X.dtype.type(0))
     sums = M.scatter_spmm_values(csc, Xp)
     out_dtype = out_dtype or X.dtype
     Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
 
-    lanes = np.count_nonzero(Xp, axis=1).astype(np.int64)
+    lanes = M.lane_count(pos)
     degrees = csc.column_counts()
     total_scanned = int(np.where(lanes > 0, degrees, 0).sum())
     write_txn = W.bwide_gather_transactions(

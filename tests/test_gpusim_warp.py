@@ -140,6 +140,51 @@ class TestUniformAndAtomic:
         assert W.atomic_conflict_cycles(t) == 31 * 2
 
 
+def _loop_atomic_conflict_cycles(targets, cycles_per_conflict=2, warp_size=32):
+    """Test-local copy of the former per-lane-column loop formulation."""
+    t = np.asarray(targets)
+    if t.size == 0:
+        return 0
+    pad = (-t.size) % warp_size
+    if pad:
+        sentinel = np.arange(pad, dtype=np.int64) + (np.int64(t.max()) + 1)
+        t = np.concatenate([t.astype(np.int64), sentinel])
+    per_warp = np.sort(t.reshape(-1, warp_size), axis=1)
+    eq = np.diff(per_warp, axis=1) == 0
+    run = np.zeros(eq.shape[0], dtype=np.int64)
+    cur = np.zeros(eq.shape[0], dtype=np.int64)
+    for j in range(eq.shape[1]):
+        cur = np.where(eq[:, j], cur + 1, 0)
+        np.maximum(run, cur, out=run)
+    return int(run.sum()) * cycles_per_conflict
+
+
+class TestAtomicConflictAgainstLoop:
+    @pytest.mark.parametrize("targets", [
+        np.array([], dtype=np.int64),
+        np.array([5, 5, 2, 5, 2], dtype=np.int32),            # one partial warp
+        np.full(100, 7, dtype=np.int64),                       # all equal
+        np.repeat(np.arange(50), 7),                           # sorted runs crossing warps
+        np.array([3, 1, 3, 3, 1, 0, 3] * 13, dtype=np.int64),  # unsorted
+    ], ids=["empty", "partial-warp", "all-equal", "sorted", "unsorted"])
+    def test_cases(self, targets):
+        got = W.atomic_conflict_cycles(targets)
+        assert got == _loop_atomic_conflict_cycles(targets)
+        assert type(got) is int
+
+    def test_random_sorted_padded(self):
+        rng = np.random.default_rng(0)
+        for i in range(300):
+            t = rng.integers(0, int(rng.integers(1, 300)), int(rng.integers(1, 2000)))
+            if i % 3 == 1:
+                t = np.sort(t)
+            ws = 32 if i % 4 else int(rng.integers(1, 40))
+            for cyc in (1, 2):
+                assert W.atomic_conflict_cycles(
+                    t, cycles_per_conflict=cyc, warp_size=ws
+                ) == _loop_atomic_conflict_cycles(t, cyc, ws)
+
+
 @given(st.lists(st.integers(0, 10_000), min_size=0, max_size=400))
 def test_gather_transactions_bounds_property(idx):
     arr = np.asarray(idx, dtype=np.int64)

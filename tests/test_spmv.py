@@ -394,3 +394,80 @@ def test_only_the_engine_sums_with_bincount_weights():
                          or any(k.arg == "weights" for k in node.keywords))):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+class TestLaneReductions:
+    """``lane_any``/``lane_count`` read an ``(n, B)`` bool mask as words and
+    must equal the short-axis ``any``/``sum`` they replace."""
+
+    @staticmethod
+    def _masks(B, rng):
+        n = 37
+        yield np.zeros((n, B), dtype=bool)
+        yield np.ones((n, B), dtype=bool)
+        for p in (0.05, 0.5, 0.95):
+            yield rng.random((n, B)) < p
+        wide = rng.random((n, B + 5)) < 0.5
+        yield wide[:, 2 : 2 + B]                    # column slice
+        yield rng.standard_normal((B, n)).T > 0     # transposed comparison
+        yield (rng.random((2 * n, B)) < 0.5)[::2]   # row-strided view
+        yield np.zeros((0, B), dtype=bool)
+
+    @pytest.mark.parametrize("B", (1, 2, 7, 8, 9, 16, 63, 64))
+    def test_match_short_axis_reductions(self, B):
+        from repro.spmv._spmm import lane_any, lane_count
+
+        rng = np.random.default_rng(B)
+        for mask in self._masks(B, rng):
+            before = mask.copy()
+            any_ = lane_any(mask)
+            count = lane_count(mask)
+            assert any_.dtype == bool and count.dtype == np.int64
+            np.testing.assert_array_equal(any_, mask.any(axis=1))
+            np.testing.assert_array_equal(count, mask.sum(axis=1))
+            np.testing.assert_array_equal(mask, before)   # input untouched
+
+    @pytest.mark.parametrize("out_dtype", (np.int32, np.float32, np.float64))
+    @pytest.mark.parametrize("positive_only", (True, False))
+    def test_cast_matches_masked_assignment(self, out_dtype, positive_only):
+        from repro.spmv._spmm import cast_like_spmv
+
+        rng = np.random.default_rng(3)
+        sums = rng.standard_normal((50, 9)) * 1e3
+        sums.flat[:8] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 2.0**31, 4.83e9, -3e9]
+        want = np.zeros(sums.shape, dtype=out_dtype)
+        with np.errstate(invalid="ignore"):
+            if positive_only:
+                w = sums > 0
+                want[w] = sums[w].astype(out_dtype)
+            else:
+                want[...] = sums.astype(out_dtype)
+        got = cast_like_spmv(sums, out_dtype, positive_only=positive_only)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_no_short_axis_lane_reductions_in_kernels_or_dispatch():
+    """Lane-axis reductions go through ``lane_any``/``lane_count``: no
+    ``any``/``sum``/``count_nonzero`` with ``axis=1`` in ``spmv/`` or the
+    dispatcher."""
+    import ast
+    from pathlib import Path
+
+    import repro.core.dispatch
+    import repro.spmv
+
+    paths = sorted(Path(repro.spmv.__file__).parent.glob("*.py"))
+    paths.append(Path(repro.core.dispatch.__file__))
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name in ("any", "sum", "count_nonzero") and any(
+                k.arg == "axis" and isinstance(k.value, ast.Constant) and k.value.value == 1
+                for k in node.keywords
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
