@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bench-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary
+.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bench-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary bless-modeled
 
 test:  ## tier-1: the full suite (the ROADMAP verify command)
 	$(PYTEST) -x -q
@@ -75,3 +75,6 @@ mem-report-smoke:  ## allocation-profiler report on the mawi trace (CI artifact)
 
 bless:  ## regenerate tests/golden/ from the Brandes oracle (review the diff)
 	PYTHONPATH=src python -m repro conformance --bless
+
+bless-modeled:  ## regenerate tests/modeled_snapshot.json, the exact modeled-number snapshot (review the diff)
+	PYTHONPATH=src python -m tests.test_modeled_snapshot --bless
