@@ -115,6 +115,26 @@ class DispatchDecision:
         }
 
 
+def _pull_phases(n_allowed: int, s_allowed: int, avg_deg_allowed: float,
+                 p_row: float) -> tuple:
+    """Expected pull probes of one level: ``(phase-1 probes, discovered
+    columns)``.
+
+    The first frontier parent sits ~1/p entries into a column's scan
+    (geometric), capped by the column's expected degree; undiscovered
+    columns scan fully either way, and the discovered fraction re-scans in
+    phase 2.  Evaluated per level on Python numbers (the ``expm1`` result
+    is a NumPy scalar), whatever SIMD path an array call would take.
+    """
+    if p_row > 0.0 and avg_deg_allowed > 0.0:
+        probes1 = n_allowed * min(avg_deg_allowed, 1.0 / p_row)
+        disc_cols = n_allowed * -np.expm1(
+            avg_deg_allowed * np.log1p(-min(p_row, 1.0 - 1e-12))
+        )
+        return probes1, disc_cols
+    return float(s_allowed), 0.0
+
+
 class AdaptiveDispatcher:
     """Chooses a kernel strategy per SpMV/SpMM launch from frontier stats."""
 
@@ -164,17 +184,17 @@ class AdaptiveDispatcher:
     def _estimate(
         self,
         *,
-        nnz_x: int,
-        e_active: int,
-        s_allowed: int,
-        n_allowed: int,
-        max_deg_allowed: int,
+        nnz_x,
+        e_active,
+        s_allowed,
+        n_allowed,
+        max_deg_allowed,
         dtype,
         batch: int = 1,
-        tiles_active: int = 0,
-        tile_nnz_active: int = 0,
-        tile_chain: int = 0,
-    ) -> dict[str, float]:
+        tiles_active=0,
+        tile_nnz_active=0,
+        tile_chain=0,
+    ) -> dict:
         """Closed-form time estimate (seconds) per kernel strategy.
 
         Mirrors the dominant terms of each kernel's hardware model: issue
@@ -183,9 +203,22 @@ class AdaptiveDispatcher:
         for the tensor-core strategy, the MMA-pipe busy time.  Strategies
         excluded by a forced ``direction`` are not estimated (and so never
         chosen, measured or audited).
+
+        The statistics are ints (one level; the estimates are numbers) or
+        per-level int arrays (every level of a stage at once; the estimates
+        are arrays).  Both run the same expressions: ``W.vmin``/``W.vmax``/
+        ``W.trunc`` are the builtins on numbers and elementwise on arrays,
+        so each array entry is the float the one-level evaluation gives.
         """
         spec = self.spec
         n, m = self.n, self.m
+        stats = (nnz_x, e_active, s_allowed, n_allowed, max_deg_allowed,
+                 tiles_active, tile_nnz_active, tile_chain)
+        vector = any(isinstance(a, np.ndarray) for a in stats)
+        if vector:
+            (nnz_x, e_active, s_allowed, n_allowed, max_deg_allowed, tiles_active,
+             tile_nnz_active, tile_chain) = np.broadcast_arrays(
+                *(np.asarray(a, dtype=np.int64) for a in stats))
         issue = spec.warp_issue_rate
         bw = spec.dram_bandwidth_gbs * 1e9
         clk = spec.clock_ghz * 1e9
@@ -197,14 +230,17 @@ class AdaptiveDispatcher:
         p = nnz_x / max(n, 1)
         avg_deg = self.m / max(self.n, 1)
         # Contributions: entries in an allowed column whose source is active.
-        contrib = min(e_active, s_allowed, int(s_allowed * e_active / max(m, 1)) + 1)
+        # (``s_allowed * e_active`` <= m^2 < 2^53: an int64 product divides to
+        # the float the Python ints would.)
+        contrib = W.vmin(e_active, s_allowed,
+                         W.trunc(s_allowed * e_active / max(m, 1)) + 1)
         txn = W.TRANSACTION_BYTES
 
-        est: dict[str, float] = {}
+        est: dict = {}
 
         # -- sccooc strategy (thread per edge over CSC, fused mask) ----------
         look = lookup_cycles(n)
-        run = min(avg_deg * p, 31.0)  # expected same-column run per warp
+        run = W.vmin(avg_deg * p, 31.0)  # expected same-column run per warp
         compute = (
             W.uniform_warp_cycles(m, _edgecsc._BASE_CYCLES + look)
             + W.warp_count(contrib * B) * _edgecsc._ACTIVE_CYCLES * dtf
@@ -219,11 +255,11 @@ class AdaptiveDispatcher:
         # Expected longest same-address atomic chain: the biggest allowed
         # column's expected number of active sources.
         ser_updates = max_deg_allowed * p * B
-        serial = max(
+        serial = W.vmax(
             ser_updates * spec.atomic_serialization_s,
             (_edgecsc._BASE_CYCLES + look + _edgecsc._ACTIVE_CYCLES * B) / clk,
         )
-        est["sccooc"] = max(compute, mem_txn * txn / bw, serial)
+        est["sccooc"] = W.vmax(compute, mem_txn * txn / bw, serial)
 
         # -- sccsc strategy (thread per column, fused mask) ------------------
         compute = (
@@ -242,7 +278,7 @@ class AdaptiveDispatcher:
             * dtf
             / clk
         )
-        est["sccsc"] = max(compute, mem_txn * txn / bw, serial)
+        est["sccsc"] = W.vmax(compute, mem_txn * txn / bw, serial)
 
         # -- veccsc strategy (warp per column) -------------------------------
         strips = s_allowed / W.WARP_SIZE + n_allowed
@@ -264,23 +300,19 @@ class AdaptiveDispatcher:
             * dtf
             / clk
         )
-        est["veccsc"] = max(compute, mem_txn * txn / bw, serial)
+        est["veccsc"] = W.vmax(compute, mem_txn * txn / bw, serial)
 
         # -- pullcsc strategy (bottom-up, bitmap probes + early exit) --------
-        # Expected phase-1 probes per allowed column: the first frontier
-        # parent sits ~1/p entries into the scan (geometric), capped by the
-        # column's expected degree; undiscovered columns scan fully either
-        # way, and the discovered fraction re-scans in phase 2.
-        avg_deg_allowed = s_allowed / max(n_allowed, 1)
+        avg_deg_allowed = s_allowed / W.vmax(n_allowed, 1)
         p_row = nnz_x / max(n, 1)
-        if p_row > 0.0 and avg_deg_allowed > 0.0:
-            probes1 = n_allowed * min(avg_deg_allowed, 1.0 / p_row)
-            disc_cols = n_allowed * -np.expm1(
-                avg_deg_allowed * np.log1p(-min(p_row, 1.0 - 1e-12))
-            )
+        if vector:
+            phases = list(map(_pull_phases, n_allowed.tolist(), s_allowed.tolist(),
+                              avg_deg_allowed.tolist(), p_row.tolist()))
+            probes1 = np.array([a for a, _ in phases])
+            disc_cols = np.array([b for _, b in phases])
+            geometric = np.array([isinstance(b, np.floating) for _, b in phases])
         else:
-            probes1 = float(s_allowed)
-            disc_cols = 0.0
+            probes1, disc_cols = _pull_phases(n_allowed, s_allowed, avg_deg_allowed, p_row)
         total_probes = probes1 + disc_cols * avg_deg_allowed
         bitmap_words = -(-n * B // 32)
         compute = (
@@ -297,8 +329,8 @@ class AdaptiveDispatcher:
             2 * W.coalesced_transactions(n)
             + W.coalesced_transactions(n * B, item)
             + 2 * W.coalesced_transactions(bitmap_words)
-            + int(total_probes + 7) // 8
-            + W.capped_random_transactions(int(total_probes), bitmap_words, 4,
+            + W.trunc(total_probes + 7) // 8
+            + W.capped_random_transactions(W.trunc(total_probes), bitmap_words, 4,
                                            l2_bytes=l2)
             + W.bwide_gather_transactions(contrib, B, n, item, l2_bytes=l2)
         )
@@ -310,12 +342,22 @@ class AdaptiveDispatcher:
             max_deg_allowed
             * (
                 _pullcsc._CRITICAL_PROBE_CYCLES
-                + min(p_row, 1.0) * B * _pullcsc._CRITICAL_GATHER_CYCLES * dtf
+                + W.vmin(p_row, 1.0) * B * _pullcsc._CRITICAL_GATHER_CYCLES * dtf
                 + (B - 1)
             )
             / clk
         )
-        est["pullcsc"] = max(compute, mem_txn * txn / bw, serial)
+        memory = mem_txn * txn / bw
+        est["pullcsc"] = W.vmax(compute, memory, serial)
+        if vector:
+            # A one-level estimate is a NumPy scalar where the geometric
+            # (expm1) compute arm wins -- and ``round`` on one rounds the
+            # NumPy way, which the decisions' ``est_us`` keep.
+            pull = est["pullcsc"].astype(object)
+            for i in np.flatnonzero(geometric & (compute >= memory)
+                                    & (compute >= serial)):
+                pull[i] = np.float64(pull[i])
+            est["pullcsc"] = pull
 
         # -- tcspmm strategy (blocked tensor-core SpMM) ----------------------
         # Exact active-tile statistics come from the cached tile directory;
@@ -344,16 +386,78 @@ class AdaptiveDispatcher:
             * (_tcspmm._TILE_BASE_CYCLES + mma_per_tile * _tcspmm._MMA_ISSUE_CYCLES)
             / clk
         )
-        est["tcspmm"] = max(compute, mem_txn * txn / bw, mma_t, serial)
+        est["tcspmm"] = W.vmax(compute, mem_txn * txn / bw, mma_t, serial)
 
         if self.direction != "auto":
             est = {k: v for k, v in est.items() if DIRECTION[k] == self.direction}
         return est
 
+    def plan(
+        self,
+        stage: str,
+        *,
+        nnz_x,
+        e_active,
+        s_allowed,
+        n_allowed,
+        max_deg_allowed,
+        tiles_active,
+        tile_nnz_active,
+        tile_chain,
+        dtype,
+        batch: int = 1,
+    ) -> list[DispatchDecision]:
+        """The decisions of a run of consecutive ``stage`` levels.
+
+        Takes each level's frontier statistics as ints or per-level arrays
+        and evaluates every level's estimates at once.  The decisions are
+        returned, not recorded: :meth:`record` logs each one as its level
+        launches, so the log and ``last`` follow the launch order.
+        """
+        est = self._estimate(
+            nnz_x=nnz_x, e_active=e_active, s_allowed=s_allowed, n_allowed=n_allowed,
+            max_deg_allowed=max_deg_allowed, dtype=dtype, batch=batch,
+            tiles_active=tiles_active, tile_nnz_active=tile_nnz_active,
+            tile_chain=tile_chain,
+        )
+        if any(isinstance(v, np.ndarray) for v in est.values()):
+            ests = [dict(zip(est, row)) for row in zip(*(v.tolist() for v in est.values()))]
+            nnz_x, e_active, n_allowed, dmax = (
+                np.broadcast_to(np.asarray(a, dtype=np.int64), (len(ests),)).tolist()
+                for a in (nnz_x, e_active, n_allowed, max_deg_allowed)
+            )
+        else:
+            ests = [est]
+            nnz_x, e_active, n_allowed, dmax = (
+                [nnz_x], [e_active], [n_allowed], [max_deg_allowed])
+        first = self._next_depth(stage)
+        decisions = []
+        for i, est in enumerate(ests):
+            kernel = min(est, key=est.get)
+            decisions.append(DispatchDecision(
+                stage=stage,
+                depth=first + i,
+                kernel=kernel,
+                nnz_frontier=nnz_x[i],
+                frontier_frac=nnz_x[i] / max(self.n, 1),
+                avg_deg_active=e_active[i] / max(nnz_x[i], 1),
+                max_deg_allowed=dmax[i],
+                batch=batch,
+                direction=DIRECTION[kernel],
+                unvisited_frac=n_allowed[i] / max(self.n, 1),
+                est_us={k: round(v * 1e6, 3) for k, v in est.items()},
+            ))
+        return decisions
+
+    def record(self, decision: DispatchDecision) -> DispatchDecision:
+        """Log ``decision`` as the latest (its level is launching now)."""
+        self.decisions.append(decision)
+        self.last = decision
+        return decision
+
     def _decide(
         self,
         stage: str,
-        depth: int,
         *,
         active_rows: np.ndarray,
         allowed: np.ndarray | None,
@@ -374,56 +478,32 @@ class AdaptiveDispatcher:
         tiles_active, tile_nnz_active, tile_chain = self._tile_stats(
             active_rows, allowed
         )
-        est = self._estimate(
-            nnz_x=nnz_x,
-            e_active=e_active,
-            s_allowed=s_allowed,
-            n_allowed=n_allowed,
-            max_deg_allowed=dmax,
-            dtype=dtype,
+        (decision,) = self.plan(
+            stage, nnz_x=nnz_x, e_active=e_active, s_allowed=s_allowed,
+            n_allowed=n_allowed, max_deg_allowed=dmax, tiles_active=tiles_active,
+            tile_nnz_active=tile_nnz_active, tile_chain=tile_chain, dtype=dtype,
             batch=batch,
-            tiles_active=tiles_active,
-            tile_nnz_active=tile_nnz_active,
-            tile_chain=tile_chain,
         )
-        kernel = min(est, key=est.get)
-        decision = DispatchDecision(
-            stage=stage,
-            depth=depth,
-            kernel=kernel,
-            nnz_frontier=nnz_x,
-            frontier_frac=nnz_x / max(self.n, 1),
-            avg_deg_active=e_active / max(nnz_x, 1),
-            max_deg_allowed=dmax,
-            batch=batch,
-            direction=DIRECTION[kernel],
-            unvisited_frac=n_allowed / max(self.n, 1),
-            est_us={k: round(v * 1e6, 3) for k, v in est.items()},
-        )
-        self.decisions.append(decision)
-        self.last = decision
-        return decision
+        return self.record(decision)
 
     # -- per-launch choices (called by TurboBCContext) -----------------------
 
     def choose_forward(self, x: np.ndarray, allowed: np.ndarray) -> str:
         """Kernel for a forward-stage masked gather ``ft = A^T f``."""
         return self._decide(
-            "forward", self._next_depth("forward"),
-            active_rows=x > 0, allowed=allowed, dtype=x.dtype,
+            "forward", active_rows=x > 0, allowed=allowed, dtype=x.dtype,
         ).kernel
 
     def choose_backward(self, x: np.ndarray) -> str:
         """Kernel for a backward-stage unmasked product (gather or scatter)."""
         return self._decide(
-            "backward", self._next_depth("backward"),
-            active_rows=x > 0, allowed=None, dtype=x.dtype,
+            "backward", active_rows=x > 0, allowed=None, dtype=x.dtype,
         ).kernel
 
     def choose_forward_batch(self, X: np.ndarray, allowed: np.ndarray) -> str:
         """Kernel for a batched forward masked gather ``Ft = A^T F``."""
         return self._decide(
-            "forward", self._next_depth("forward"),
+            "forward",
             active_rows=lane_any(X > 0),
             allowed=lane_any(allowed),
             dtype=X.dtype,
@@ -433,7 +513,7 @@ class AdaptiveDispatcher:
     def choose_backward_batch(self, X: np.ndarray) -> str:
         """Kernel for a batched backward unmasked product."""
         return self._decide(
-            "backward", self._next_depth("backward"),
+            "backward",
             active_rows=lane_any(X > 0),
             allowed=None,
             dtype=X.dtype,

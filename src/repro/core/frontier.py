@@ -7,11 +7,14 @@ accumulates ``bc``.  They are all O(n) streaming kernels; their cost is what
 makes deep BFS trees slow (the luxembourg road network pays ~1000 of them
 per source), so they are modeled here with the same transaction accounting
 as the SpMVs.
+
+Each streaming kernel is a numerics function plus a cost function of
+per-level counts: the per-source stages run the numerics for every level
+and then charge all levels with one cost call (:mod:`repro.core.levels`);
+the batch kernels below run both for one ``(n, B)`` level and launch.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,28 +28,118 @@ _STREAM_CYCLES = 3
 
 def _stream_stats(
     name: str,
-    n: int,
+    threads: int,
     *,
     read_words: int,
-    sparse_writes: np.ndarray | None = None,
-    dense_write_words: int = 0,
-    extra_cycles: int = 0,
-) -> KernelStats:
-    """Stats for a one-thread-per-vertex streaming kernel.
+    write_txn=0,
+    extra_cycles=0,
+    flops=0,
+) -> list[KernelStats]:
+    """Stats for one-thread-per-element streaming kernels, one per level.
 
-    ``read_words`` counts coalesced 4-byte loads; sparse writes (only the
-    touched vertices) are transaction-counted from their indices.
+    ``read_words`` counts coalesced 4-byte loads of every element; the
+    write transactions, extra issue cycles and flops are ints or per-level
+    arrays (sparse writes are transaction-counted from their index lists
+    by the caller).
     """
-    write_txn = W.coalesced_transactions(dense_write_words)
-    if sparse_writes is not None and sparse_writes.size:
-        write_txn += W.gather_transactions(sparse_writes)
-    return KernelStats(
-        name=name,
-        threads=n,
-        warp_cycles=W.uniform_warp_cycles(n, _STREAM_CYCLES) + extra_cycles,
-        dram_read_bytes=W.coalesced_transactions(read_words) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=read_words * 4,
+    write_txn, extra_cycles, flops = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=np.int64))
+          for a in (write_txn, extra_cycles, flops)))
+    warp_cycles = W.uniform_warp_cycles(threads, _STREAM_CYCLES)
+    read_bytes = W.coalesced_transactions(read_words) * W.TRANSACTION_BYTES
+    return [
+        KernelStats(name=name, threads=threads, warp_cycles=warp_cycles + e,
+                    dram_read_bytes=read_bytes, dram_write_bytes=w * W.TRANSACTION_BYTES,
+                    requested_load_bytes=read_words * 4, flops=f)
+        for w, e, f in zip(write_txn.tolist(), extra_cycles.tolist(), flops.tolist())
+    ]
+
+
+# -- the three per-level streaming kernels: numerics, then costs --------------
+#
+# The numerics work on flat index lists of any width: a per-source vector,
+# or an ``(n, B)`` matrix read in row-major order (one lane per column).
+# The cost functions take per-level counts, so a per-source traversal
+# charges all its levels in one call and the batch kernels one level.
+
+
+def frontier_update(
+    Ft: np.ndarray, Sigma: np.ndarray, S: np.ndarray, depth: int, *, masked_spmv: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lines 20-27 of Algorithm 1: mask, depth stamp and sigma update.
+
+    The new frontier is ``Ft where Sigma == 0 else 0``; its nonzero
+    elements get ``S = depth`` and ``Sigma += F``.  Returns the frontier and
+    its sorted flat index list (empty: the traversal converged).
+
+    ``masked_spmv``: the SpMV already fused the ``Sigma == 0`` mask (CSC
+    kernels), so ``Ft`` is the frontier as is; the COOC pipeline's unmasked
+    product is masked here.
+    """
+    F = Ft if masked_spmv else np.where(Sigma == 0, Ft, Ft.dtype.type(0))
+    flat = np.flatnonzero(F)
+    if flat.size:
+        np.put(S, flat, depth)
+        sigma = np.take(Sigma, flat)
+        sigma += np.take(F, flat)
+        np.put(Sigma, flat, sigma)
+    return F, flat
+
+
+def frontier_update_costs(threads: int, touched, touched_txn, *, masked_spmv: bool):
+    """``bfs_update`` stats per level: ``touched`` elements discovered, whose
+    index lists take ``touched_txn`` transactions.  The fused kernel reads
+    ``Ft`` only; the unfused one reads ``Sigma`` too, for the mask."""
+    return _stream_stats(
+        "bfs_update", threads,
+        read_words=threads if masked_spmv else 2 * threads,
+        write_txn=2 * np.asarray(touched_txn),  # sparse S and sigma writes
+        extra_cycles=2 * np.asarray(touched),   # sigma read-modify-write lanes
+    )
+
+
+def delta_u(
+    Sigma: np.ndarray, Delta: np.ndarray, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lines 32-36: ``delta_u = (1 + delta) / sigma`` on the depth-d slice.
+
+    ``level`` is the slice as sorted flat indices; elements with
+    ``sigma <= 0`` are skipped.  Returns ``delta_u`` and the written list.
+    """
+    idx = level[np.take(Sigma, level) > 0]
+    Delta_u = np.zeros_like(Delta)
+    if idx.size:
+        np.put(Delta_u, idx, (1.0 + np.take(Delta, idx)) / np.take(Sigma, idx))
+    return Delta_u, idx
+
+
+def delta_u_costs(threads: int, written, written_txn):
+    """``delta_u`` stats per level: reads ``S``, ``sigma`` and ``delta``."""
+    written = np.asarray(written)
+    return _stream_stats(
+        "delta_u", threads, read_words=3 * threads, write_txn=written_txn,
+        extra_cycles=4 * written, flops=written,  # FP divide lanes
+    )
+
+
+def delta_update(
+    Sigma: np.ndarray, Delta: np.ndarray, Delta_ut: np.ndarray, level: np.ndarray
+) -> None:
+    """Lines 38-40: ``delta += delta_ut * sigma`` on the depth-(d-1) slice
+    ``level`` (sorted flat indices).  Mutates ``Delta`` in place."""
+    if level.size:
+        delta = np.take(Delta, level)
+        delta += np.take(Delta_ut, level) * np.take(Sigma, level)
+        np.put(Delta, level, delta)
+
+
+def delta_update_costs(threads: int, updated, updated_txn):
+    """``delta_update`` stats per level: reads ``S``, ``sigma``, ``delta``
+    and ``delta_ut``."""
+    updated = np.asarray(updated)
+    return _stream_stats(
+        "delta_update", threads, read_words=4 * threads, write_txn=updated_txn,
+        extra_cycles=2 * updated, flops=2 * updated,
     )
 
 
@@ -59,104 +152,6 @@ def init_source_kernel(device: Device, n: int, *, tag: str = "") -> KernelLaunch
         dram_write_bytes=2 * W.TRANSACTION_BYTES,
         requested_load_bytes=0,
     )
-    return device.launch(stats, tag=tag)
-
-
-def frontier_update_kernel(
-    device: Device,
-    ft: np.ndarray,
-    sigma: np.ndarray,
-    S: np.ndarray,
-    depth: int,
-    *,
-    masked_spmv: bool,
-    tag: str = "",
-) -> tuple[np.ndarray, bool, KernelLaunch]:
-    """Lines 20-27 of Algorithm 1: mask, depth stamp, sigma update, flag.
-
-    Computes the new frontier ``f = ft where sigma == 0 else 0``, stamps
-    ``S`` with the current depth and accumulates ``sigma`` for discovered
-    vertices, and returns the convergence flag ``c`` (any new vertex?).
-
-    ``masked_spmv``: when the SpMV already fused the sigma mask (CSC
-    kernels), this kernel skips the mask pass and reads one array less --
-    the COOC pipeline pays for its unmasked SpMV here.
-    """
-    n = sigma.size
-    if masked_spmv:
-        f = ft  # the SpMV produced zeros on discovered vertices already
-    else:
-        f = np.where(sigma == 0, ft, 0).astype(ft.dtype, copy=False)
-    touched = np.flatnonzero(f)
-    if touched.size:
-        S[touched] = depth
-        sigma[touched] += f[touched]
-    c = touched.size > 0
-    read_words = n if masked_spmv else 2 * n  # ft (+ sigma for the mask)
-    stats = _stream_stats(
-        "bfs_update",
-        n,
-        read_words=read_words,
-        extra_cycles=2 * touched.size,  # sigma read-modify-write lanes
-    )
-    # Sparse S and sigma writes: twice the touched vertices' transactions.
-    touched_txn = W.gather_transactions(touched) if touched.size else 0
-    stats = replace(stats, dram_write_bytes=2 * touched_txn * W.TRANSACTION_BYTES)
-    return f, c, device.launch(stats, tag=tag)
-
-
-def delta_u_kernel(
-    device: Device,
-    S: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    depth: int,
-    *,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Lines 32-36: ``delta_u = (1 + delta) / sigma`` on the depth-d slice."""
-    sel = (S == depth) & (sigma > 0)
-    delta_u = np.zeros_like(delta)
-    idx = np.flatnonzero(sel)
-    if idx.size:
-        delta_u[idx] = (1.0 + delta[idx]) / sigma[idx]
-    stats = _stream_stats(
-        "delta_u",
-        sigma.size,
-        read_words=3 * sigma.size,  # S, sigma, delta
-        sparse_writes=idx,
-        extra_cycles=4 * idx.size,  # FP divide lanes
-    )
-    stats.flops = idx.size
-    return delta_u, device.launch(stats, tag=tag)
-
-
-def delta_update_kernel(
-    device: Device,
-    S: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    delta_ut: np.ndarray,
-    depth: int,
-    *,
-    tag: str = "",
-) -> KernelLaunch:
-    """Lines 38-40: ``delta += delta_ut * sigma`` on the depth-(d-1) slice.
-
-    Mutates ``delta`` in place (it is a device-resident vector).
-    """
-    sel = S == (depth - 1)
-    idx = np.flatnonzero(sel)
-    if idx.size:
-        delta[idx] += delta_ut[idx] * sigma[idx]
-    stats = _stream_stats(
-        "delta_update",
-        sigma.size,
-        read_words=4 * sigma.size,  # S, sigma, delta, delta_ut
-        sparse_writes=idx,
-        extra_cycles=2 * idx.size,
-    )
-    stats.flops = 2 * idx.size
     return device.launch(stats, tag=tag)
 
 
@@ -184,40 +179,19 @@ def frontier_update_batch_kernel(
     masked_spmv: bool,
     tag: str = "",
 ) -> tuple[np.ndarray, np.ndarray, KernelLaunch]:
-    """Batched lines 20-27: mask, depth stamp, sigma update, per-lane flags.
+    """Batched lines 20-27 (:func:`frontier_update` on ``(n, B)`` arrays).
 
-    Operates on ``(n, B)`` arrays -- one BFS lane per column.  Drained lanes
-    have all-zero frontier columns, so the elementwise update is a no-op for
-    them; every touched element gets exactly the per-source kernel's update
-    (same expressions, same dtypes).  Returns the new frontier matrix, the
-    per-lane count of newly discovered vertices (the convergence bitmap is
-    ``counts > 0``), and the launch record.
-
-    The touched elements are one row-major flat index list (the order of a
-    boolean mask), so the updates and the write accounting touch only them.
+    One BFS lane per column: drained lanes have all-zero frontier columns,
+    so the update is a no-op for them.  Returns the new frontier matrix,
+    the per-lane count of newly discovered vertices (the convergence
+    bitmap is ``counts > 0``), and the launch record.
     """
     n, B = Sigma.shape
-    if masked_spmv:
-        F = Ft  # the SpMM produced zeros on discovered vertices already
-    else:
-        F = np.where(Sigma == 0, Ft, Ft.dtype.type(0))
-    flat = np.flatnonzero(F)
-    if flat.size:
-        np.put(S, flat, depth)
-        sigma = np.take(Sigma, flat)
-        sigma += np.take(F, flat)
-        np.put(Sigma, flat, sigma)
+    F, flat = frontier_update(Ft, Sigma, S, depth, masked_spmv=masked_spmv)
     new_per_lane = np.bincount(flat % B, minlength=B)
-    read_words = n * B if masked_spmv else 2 * n * B
-    stats = _stream_stats(
-        "bfs_update",
-        n * B,
-        read_words=read_words,
-        extra_cycles=2 * flat.size,  # sigma read-modify-write lanes
-    )
-    # Sparse S and Sigma writes: twice the touched elements' transactions.
     touched_txn = W.gather_transactions(flat) if flat.size else 0
-    stats = replace(stats, dram_write_bytes=2 * touched_txn * W.TRANSACTION_BYTES)
+    (stats,) = frontier_update_costs(n * B, flat.size, touched_txn,
+                                     masked_spmv=masked_spmv)
     return F, new_per_lane, device.launch(stats, tag=tag)
 
 
@@ -229,7 +203,7 @@ def delta_u_batch_kernel(
     *,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched lines 32-36 on the ``(n, B)`` depth-d slice.
+    """Batched lines 32-36 (:func:`delta_u` on the ``(n, B)`` depth-d slice).
 
     ``level`` is the slice as row-major flat indices,
     ``np.flatnonzero(S == d)``; the backward stage passes the list it
@@ -238,19 +212,10 @@ def delta_u_batch_kernel(
     ``S`` column never reaches it), so a batch walks down from the deepest
     lane with shallow lanes riding along as exact no-ops.
     """
-    idx = level[np.take(Sigma, level) > 0]
-    Delta_u = np.zeros_like(Delta)
-    if idx.size:
-        np.put(Delta_u, idx, (1.0 + np.take(Delta, idx)) / np.take(Sigma, idx))
+    Delta_u, idx = delta_u(Sigma, Delta, level)
     n, B = Sigma.shape
-    stats = _stream_stats(
-        "delta_u",
-        n * B,
-        read_words=3 * n * B,  # S, Sigma, Delta
-        sparse_writes=idx,
-        extra_cycles=4 * idx.size,  # FP divide lanes
-    )
-    stats.flops = idx.size
+    txn = W.gather_transactions(idx) if idx.size else 0
+    (stats,) = delta_u_costs(n * B, idx.size, txn)
     return Delta_u, device.launch(stats, tag=tag)
 
 
@@ -263,22 +228,13 @@ def delta_update_batch_kernel(
     *,
     tag: str = "",
 ) -> KernelLaunch:
-    """Batched lines 38-40: ``Delta += Delta_ut * Sigma`` on the depth-(d-1)
-    slice.  Mutates ``Delta`` in place.  ``level`` is that slice as
-    row-major flat indices, ``np.flatnonzero(S == d - 1)``."""
-    if level.size:
-        delta = np.take(Delta, level)
-        delta += np.take(Delta_ut, level) * np.take(Sigma, level)
-        np.put(Delta, level, delta)
+    """Batched lines 38-40 (:func:`delta_update` on the ``(n, B)``
+    depth-(d-1) slice).  Mutates ``Delta`` in place.  ``level`` is that
+    slice as row-major flat indices, ``np.flatnonzero(S == d - 1)``."""
+    delta_update(Sigma, Delta, Delta_ut, level)
     n, B = Sigma.shape
-    stats = _stream_stats(
-        "delta_update",
-        n * B,
-        read_words=4 * n * B,  # S, Sigma, Delta, Delta_ut
-        sparse_writes=level,
-        extra_cycles=2 * level.size,
-    )
-    stats.flops = 2 * level.size
+    txn = W.gather_transactions(level) if level.size else 0
+    (stats,) = delta_update_costs(n * B, level.size, txn)
     return device.launch(stats, tag=tag)
 
 
@@ -309,14 +265,14 @@ def bc_update_batch_kernel(
         bc += scale * Delta[:, j]
         bc[s] = saved
         folded += 1
-    stats = _stream_stats(
+    (stats,) = _stream_stats(
         "bc_update",
         n * max(folded, 1),
         read_words=2 * n * folded,  # bc, Delta column
-        dense_write_words=n * folded,
+        write_txn=W.coalesced_transactions(n * folded),
         extra_cycles=n * folded,
+        flops=n * folded,
     )
-    stats.flops = n * folded
     return device.launch(stats, tag=tag)
 
 
@@ -339,18 +295,18 @@ def bc_update_kernel(
     saved = bc[source]
     bc += scale * delta
     bc[source] = saved
-    stats = _stream_stats(
+    (stats,) = _stream_stats(
         "bc_update",
         n,
         read_words=2 * n,  # bc, delta
-        dense_write_words=n,
+        write_txn=W.coalesced_transactions(n),
         extra_cycles=n,
+        flops=n,
     )
-    stats.flops = n
     return device.launch(stats, tag=tag)
 
 
-def level_density(frontier: np.ndarray, sigma: np.ndarray) -> dict:
+def level_density(frontier_size: int, visited: int, total: int) -> dict:
     """Both sides of a level's density: the frontier and the unvisited set.
 
     Direction-optimizing traversal (DESIGN.md §12) needs *two* densities to
@@ -360,13 +316,10 @@ def level_density(frontier: np.ndarray, sigma: np.ndarray) -> dict:
     reported only ``frontier_size``; per-level spans now carry both sides
     so perf reports can attribute *why* a direction won.
 
-    Works for the per-source vectors and the batched ``(n, B)`` matrices
-    alike -- the fractions are taken over all elements, so a batched level
-    reports the lane-averaged densities (``sigma.size == n * B``).
+    ``visited`` counts the nonzero sigma elements out of ``total``: a
+    batched level passes ``n * B`` and so reports lane-averaged densities.
     """
-    total = int(sigma.size)
-    frontier_size = int(np.count_nonzero(frontier))
-    unvisited = total - int(np.count_nonzero(sigma))
+    unvisited = total - visited
     return {
         "frontier_size": frontier_size,
         "frontier_frac": round(frontier_size / max(total, 1), 6),

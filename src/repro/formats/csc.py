@@ -51,6 +51,8 @@ class CSCMatrix(BinaryMatrixBase):
         self._tile_plans: dict = {}
         # One-entry memo of repro.spmv.tcspmm.active_tile_stats.
         self._active_tile_memo: tuple | None = None
+        # The tile directory grouped by row stripe (tcspmm.level_tile_stats).
+        self._tile_row_order: tuple | None = None
         self._spmm_ops: tuple | None = None
         self._txn_cache: dict = {}
         if not _skip_checks:

@@ -11,9 +11,16 @@ CUDA performance on sparse kernels is dominated by two structural effects:
 
 The functions here compute exact transaction and cycle counts from the very
 index arrays the kernels dereference, vectorised over all warps at once.
+
+The count helpers (transactions, warps, MMA ops) take a Python int and
+return one, or take an int array -- one entry per BFS level -- and return
+the array of per-level counts, so a whole traversal's costs are one call
+(DESIGN.md §7, "Numerics, then costs").
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -49,12 +56,40 @@ def dtype_cycle_factor(dtype) -> int:
     return 1
 
 
-def coalesced_transactions(n_elements: int, element_bytes: int = 4) -> int:
+def _negative(x) -> bool:
+    """Whether a count (an int or a per-level int array) has a negative entry."""
+    return bool((x < 0).any()) if isinstance(x, np.ndarray) else x < 0
+
+
+def vmin(*args):
+    """``min`` of numbers, elementwise when an argument is a per-level array.
+
+    On scalars this *is* the builtin (it returns the first minimal
+    argument, type and all), so a one-level cost evaluation keeps plain
+    Python number semantics.
+    """
+    if any(isinstance(a, np.ndarray) for a in args):
+        return functools.reduce(np.minimum, args)
+    return min(args)
+
+
+def vmax(*args):
+    """``max`` of numbers, elementwise when an argument is a per-level array
+    (the builtin on scalars, like :func:`vmin`)."""
+    if any(isinstance(a, np.ndarray) for a in args):
+        return functools.reduce(np.maximum, args)
+    return max(args)
+
+
+def trunc(x):
+    """``int(x)``, elementwise (toward zero, as int64) on a per-level array."""
+    return x.astype(np.int64) if isinstance(x, np.ndarray) else int(x)
+
+
+def coalesced_transactions(n_elements, element_bytes: int = 4):
     """Transactions for a fully coalesced sweep over ``n_elements`` words."""
-    if n_elements < 0:
+    if _negative(n_elements):
         raise ValueError(f"n_elements must be non-negative, got {n_elements}")
-    if n_elements == 0:
-        return 0
     return -(-n_elements * element_bytes // TRANSACTION_BYTES)
 
 
@@ -87,6 +122,38 @@ def gather_transactions(
     return int(distinct.sum())
 
 
+def level_gather_transactions(
+    indices: np.ndarray,
+    bounds: np.ndarray,
+    element_bytes: int = 4,
+    *,
+    warp_size: int = WARP_SIZE,
+) -> np.ndarray:
+    """:func:`gather_transactions` of many sorted index lists at once.
+
+    ``indices[bounds[k]:bounds[k + 1]]`` is level ``k``'s list, sorted
+    ascending; each level's warps are its own 32-lane chunks.  A sorted
+    warp touches one segment more than the segment changes between its
+    adjacent lanes, so the per-level counts are warp starts plus changes
+    that do not open a warp.  Returns ``len(bounds) - 1`` counts.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    if idx.size == 0:
+        return np.zeros(sizes.size, dtype=np.int64)
+    segs = idx * element_bytes // TRANSACTION_BYTES
+    # lane of every entry within its own level's warps
+    lane = np.arange(idx.size, dtype=np.int64) - np.repeat(bounds[:-1], sizes)
+    lane %= warp_size
+    change = np.ones(idx.size, dtype=bool)
+    np.not_equal(segs[1:], segs[:-1], out=change[1:])
+    change[lane == 0] = False
+    level = np.repeat(np.arange(sizes.size), sizes)
+    changes = np.bincount(level[change], minlength=sizes.size)
+    return -(-sizes // warp_size) + changes
+
+
 def cached_gather_transactions(
     indices: np.ndarray,
     element_bytes: int,
@@ -106,43 +173,44 @@ def cached_gather_transactions(
 
 
 def capped_random_transactions(
-    n_accesses: int,
+    n_accesses,
     array_words: int,
     element_bytes: int = 4,
     *,
     l2_bytes: int = L2_BYTES,
-) -> int:
+):
     """L2-bounded transaction count for ``n_accesses`` *uncoalesced* loads.
 
     For access patterns where per-warp merging is unavailable (per-lane
     serial streams, baseline models without index arrays): one transaction
     per access, bounded by the compulsory-miss footprint as above.
     """
-    if n_accesses < 0 or array_words < 0:
+    if _negative(n_accesses) or array_words < 0:
         raise ValueError("counts must be non-negative")
     return _apply_l2_bound(n_accesses, n_accesses, element_bytes, array_words, l2_bytes)
 
 
-def _apply_l2_bound(
-    txn: int, n_accesses: int, element_bytes: int, array_words: int, l2_bytes: int
-) -> int:
+def _apply_l2_bound(txn, n_accesses, element_bytes: int, array_words: int, l2_bytes: int):
     footprint_bytes = array_words * element_bytes
     footprint_txn = -(-footprint_bytes // TRANSACTION_BYTES) if footprint_bytes else 0
     if footprint_bytes <= l2_bytes:
-        return min(txn, footprint_txn)
+        return vmin(txn, footprint_txn)
     resident = l2_bytes / footprint_bytes
-    bounded = footprint_txn + int((txn - footprint_txn) * (1.0 - resident))
-    return min(txn, max(bounded, footprint_txn)) if txn > footprint_txn else txn
+    bounded = footprint_txn + trunc((txn - footprint_txn) * (1.0 - resident))
+    capped = vmin(txn, vmax(bounded, footprint_txn))
+    if isinstance(txn, np.ndarray):
+        return np.where(txn > footprint_txn, capped, txn)
+    return capped if txn > footprint_txn else txn
 
 
 def bwide_gather_transactions(
-    n_rows_loaded: int,
+    n_rows_loaded,
     lanes: int,
     n_rows: int,
     element_bytes: int = 4,
     *,
     l2_bytes: int = L2_BYTES,
-) -> int:
+):
     """DRAM transactions for B-wide row loads out of an ``(n_rows, lanes)`` matrix.
 
     The batched-frontier access pattern: for every scanned sparse entry the
@@ -152,7 +220,7 @@ def bwide_gather_transactions(
     scattered transaction per (entry, lane).  This is the load-coalescing win
     of SpMM over per-source SpMV.  L2-bounded like the other gathers.
     """
-    if n_rows_loaded < 0 or lanes < 0 or n_rows < 0:
+    if _negative(n_rows_loaded) or lanes < 0 or n_rows < 0:
         raise ValueError("counts must be non-negative")
     per_row = -(-lanes * element_bytes // TRANSACTION_BYTES) if lanes else 0
     return _apply_l2_bound(
@@ -165,13 +233,13 @@ def bwide_gather_transactions(
 
 
 def scalar_gather_transactions(
-    n_accesses: int,
+    n_accesses,
     array_words: int,
     element_bytes: int = 4,
     *,
     miss_rate: float = 0.25,
     l2_bytes: int = L2_BYTES,
-) -> int:
+):
     """DRAM transactions for *per-lane serial* gathers (scalar kernels).
 
     Thread-per-vertex kernels issue one uncoalesced load per scanned entry
@@ -181,14 +249,14 @@ def scalar_gather_transactions(
     floor scales with the footprint/L2 pressure, so small working sets keep
     their cache residency (as on real hardware).
     """
-    if n_accesses < 0 or array_words < 0:
+    if _negative(n_accesses) or array_words < 0:
         raise ValueError("counts must be non-negative")
     capped = capped_random_transactions(
         n_accesses, array_words, element_bytes, l2_bytes=l2_bytes
     )
     footprint = array_words * element_bytes
     pressure = min(1.0, footprint / l2_bytes) if l2_bytes else 1.0
-    return max(capped, int(n_accesses * miss_rate * pressure))
+    return vmax(capped, trunc(n_accesses * miss_rate * pressure))
 
 
 def max_warp_cycles(
@@ -236,16 +304,15 @@ def divergent_warp_cycles(
 
 
 def uniform_warp_cycles(
-    n_threads: int,
+    n_threads,
     cycles_per_thread: int,
     *,
     warp_size: int = WARP_SIZE,
-) -> int:
+):
     """Warp cycles for a kernel whose threads all do identical work."""
-    if n_threads < 0 or cycles_per_thread < 0:
+    if _negative(n_threads) or cycles_per_thread < 0:
         raise ValueError("n_threads and cycles_per_thread must be non-negative")
-    n_warps = -(-n_threads // warp_size) if n_threads else 0
-    return n_warps * cycles_per_thread
+    return -(-n_threads // warp_size) * cycles_per_thread
 
 
 def atomic_conflict_cycles(
@@ -287,14 +354,14 @@ def atomic_conflict_cycles(
     return int(longest.sum()) * cycles_per_conflict
 
 
-def warp_count(n_threads: int, *, warp_size: int = WARP_SIZE) -> int:
+def warp_count(n_threads, *, warp_size: int = WARP_SIZE):
     """Number of warps needed for ``n_threads`` threads."""
-    if n_threads < 0:
+    if _negative(n_threads):
         raise ValueError(f"n_threads must be non-negative, got {n_threads}")
     return -(-n_threads // warp_size)
 
 
-def mma_ops_for_tiles(n_tiles: int, lanes: int, *, tile: int = MMA_TILE) -> int:
+def mma_ops_for_tiles(n_tiles, lanes: int, *, tile: int = MMA_TILE):
     """16x16x16 MMA operations to multiply ``n_tiles`` sparse 16x16 tiles
     against a ``lanes``-wide dense operand.
 
@@ -302,8 +369,6 @@ def mma_ops_for_tiles(n_tiles: int, lanes: int, *, tile: int = MMA_TILE) -> int:
     MMA ops -- a single SpMV (lanes=1) still pays a full op per tile, which
     is why the tensor-core path only wins on wide batches and dense tiles.
     """
-    if n_tiles < 0 or lanes < 0:
+    if _negative(n_tiles) or lanes < 0:
         raise ValueError("n_tiles and lanes must be non-negative")
-    if n_tiles == 0 or lanes == 0:
-        return 0
     return n_tiles * -(-lanes // tile)

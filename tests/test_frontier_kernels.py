@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import frontier as FK
+from repro.gpusim import warp as W
 from repro.gpusim.device import Device
 
 
@@ -23,9 +24,10 @@ class TestFrontierUpdate:
         ft = np.array([3, 2, 5, 0], dtype=np.int64)
         sigma = np.array([1, 0, 0, 0], dtype=np.int64)
         S = np.zeros(4, dtype=np.int32)
-        f, c, _ = FK.frontier_update_kernel(device, ft, sigma, S, 2, masked_spmv=False)
+        f, touched = FK.frontier_update(ft, sigma, S, 2, masked_spmv=False)
         assert f.tolist() == [0, 2, 5, 0]
-        assert c
+        assert touched.size > 0  # the convergence flag: not converged
+        assert touched.tolist() == [1, 2]
         assert sigma.tolist() == [1, 2, 5, 0]
         assert S.tolist() == [0, 2, 2, 0]
 
@@ -34,27 +36,26 @@ class TestFrontierUpdate:
         ft = np.array([0, 2, 0], dtype=np.int64)
         sigma = np.array([1, 0, 0], dtype=np.int64)
         S = np.zeros(3, dtype=np.int32)
-        f, c, _ = FK.frontier_update_kernel(device, ft, sigma, S, 1, masked_spmv=True)
+        f, touched = FK.frontier_update(ft, sigma, S, 1, masked_spmv=True)
         assert f is ft
-        assert c
+        assert touched.size > 0
 
     def test_convergence_flag_false_when_empty(self, device):
         ft = np.zeros(3, dtype=np.int64)
         sigma = np.array([1, 1, 1], dtype=np.int64)
         S = np.zeros(3, dtype=np.int32)
-        _, c, _ = FK.frontier_update_kernel(device, ft, sigma, S, 3, masked_spmv=True)
-        assert not c
+        _, touched = FK.frontier_update(ft, sigma, S, 3, masked_spmv=True)
+        assert touched.size == 0
 
     def test_fused_reads_fewer_words(self, device):
         ft = np.ones(64, dtype=np.int64)
         sigma = np.zeros(64, dtype=np.int64)
-        _, _, fused = FK.frontier_update_kernel(
-            device, ft.copy(), sigma.copy(), np.zeros(64, np.int32), 1, masked_spmv=True
-        )
-        _, _, unfused = FK.frontier_update_kernel(
-            device, ft.copy(), sigma.copy(), np.zeros(64, np.int32), 1, masked_spmv=False
-        )
-        assert fused.stats.requested_load_bytes < unfused.stats.requested_load_bytes
+        _, touched = FK.frontier_update(ft, sigma, np.zeros(64, np.int32), 1,
+                                        masked_spmv=True)
+        txn = W.gather_transactions(touched)
+        (fused,) = FK.frontier_update_costs(64, touched.size, txn, masked_spmv=True)
+        (unfused,) = FK.frontier_update_costs(64, touched.size, txn, masked_spmv=False)
+        assert fused.requested_load_bytes < unfused.requested_load_bytes
 
 
 class TestBackwardKernels:
@@ -62,14 +63,15 @@ class TestBackwardKernels:
         S = np.array([0, 1, 2, 2, 0], dtype=np.int32)
         sigma = np.array([1, 1, 2, 0, 0], dtype=np.float64)
         delta = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        delta_u, _ = FK.delta_u_kernel(device, S, sigma, delta, 2)
+        delta_u, written = FK.delta_u(sigma, delta, np.flatnonzero(S == 2))
         # only vertex 2 qualifies (S == 2 and sigma > 0)
         assert delta_u.tolist() == [0, 0, (1 + 1.0) / 2, 0, 0]
+        assert written.tolist() == [2]
 
     def test_delta_u_skips_sigma_zero(self, device):
         S = np.array([2], dtype=np.int32)
         sigma = np.array([0.0])
-        delta_u, _ = FK.delta_u_kernel(device, S, sigma, np.zeros(1), 2)
+        delta_u, _ = FK.delta_u(sigma, np.zeros(1), np.flatnonzero(S == 2))
         assert delta_u[0] == 0
 
     def test_delta_update_in_place(self, device):
@@ -77,7 +79,7 @@ class TestBackwardKernels:
         sigma = np.array([1.0, 2.0, 3.0, 1.0])
         delta = np.zeros(4)
         delta_ut = np.array([9.0, 0.5, 0.25, 9.0])
-        FK.delta_update_kernel(device, S, sigma, delta, delta_ut, 2)
+        FK.delta_update(sigma, delta, delta_ut, np.flatnonzero(S == 1))
         # only S == 1 vertices updated: delta += delta_ut * sigma
         assert delta.tolist() == [0.0, 1.0, 0.75, 0.0]
 
@@ -96,11 +98,23 @@ class TestBackwardKernels:
 
 # -- batched kernels ----------------------------------------------------------
 # Test-local copies of the boolean-mask formulas the batch kernels used before
-# they moved to flat index lists; values and every KernelStats field must match.
+# they moved to flat index lists, and of the one-level streaming-kernel stats;
+# values and every KernelStats field must match.
+
+
+def _stream_stats(name, n, *, read_words, sparse_writes, extra_cycles):
+    from repro.gpusim.kernel import KernelStats
+
+    write_txn = W.gather_transactions(sparse_writes) if sparse_writes.size else 0
+    return KernelStats(
+        name=name, threads=n, warp_cycles=W.uniform_warp_cycles(n, 3) + extra_cycles,
+        dram_read_bytes=W.coalesced_transactions(read_words) * W.TRANSACTION_BYTES,
+        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=read_words * 4,
+    )
 
 
 def _mask_frontier_update(device, Ft, Sigma, S, depth, *, masked_spmv):
-    from repro.gpusim import warp as W
     from repro.gpusim.kernel import KernelStats
 
     n, B = Sigma.shape
@@ -111,7 +125,7 @@ def _mask_frontier_update(device, Ft, Sigma, S, depth, *, masked_spmv):
         S[touched] = depth
         Sigma[touched] += F[touched]
     flat = rows * B + cols
-    stats = FK._stream_stats(
+    stats = _stream_stats(
         "bfs_update", n * B,
         read_words=n * B if masked_spmv else 2 * n * B,
         sparse_writes=flat, extra_cycles=2 * rows.size,
@@ -131,7 +145,7 @@ def _mask_delta_u(device, S, Sigma, Delta, depth):
     if rows.size:
         Delta_u[sel] = (1.0 + Delta[sel]) / Sigma[sel]
     n, B = Sigma.shape
-    stats = FK._stream_stats(
+    stats = _stream_stats(
         "delta_u", n * B, read_words=3 * n * B,
         sparse_writes=rows * B + cols, extra_cycles=4 * rows.size,
     )
@@ -145,7 +159,7 @@ def _mask_delta_update(device, S, Sigma, Delta, Delta_ut, depth):
     if rows.size:
         Delta[sel] += Delta_ut[sel] * Sigma[sel]
     n, B = Sigma.shape
-    stats = FK._stream_stats(
+    stats = _stream_stats(
         "delta_update", n * B, read_words=4 * n * B,
         sparse_writes=rows * B + cols, extra_cycles=2 * rows.size,
     )
