@@ -98,3 +98,46 @@ class TestEdgeList:
         path = tmp_path / "g.txt"
         io.write_edge_list(g, path, comment="hello")
         assert "hello" in path.read_text()
+
+    def test_comments_blank_lines_and_extra_columns(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(
+            "# SNAP header\n% another comment style\n\n"
+            "0 1\n   \n1\t2  7 9\n2 3 # trailing comment\n\n"
+        )
+        g = io.read_edge_list(path, directed=True)
+        assert (g.n, g.m) == (4, 3)
+        assert sorted(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_n_inference_and_explicit_n(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 9\n")
+        assert io.read_edge_list(path).n == 10
+        assert io.read_edge_list(path, n=12).n == 12
+        path.write_text("# nothing but comments\n\n")
+        empty = io.read_edge_list(path)
+        assert (empty.n, empty.m) == (0, 0)
+
+    @pytest.mark.parametrize("line", ["5", "0 x", "0 1.5", "1.0 2", "0 1e3"])
+    def test_malformed_line_raises_value_error(self, tmp_path, line):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1\n{line}\n2 3\n")
+        with pytest.raises(ValueError, match="malformed edge list"):
+            io.read_edge_list(path)
+
+
+class TestMatrixMarketIndices:
+    @pytest.mark.parametrize("entry", ["1.5 2", "1 2.25", "nan 1", "inf 2"])
+    def test_rejects_non_integral_indices(self, tmp_path, entry):
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n" + entry + "\n")
+        with pytest.raises(ValueError, match="non-integral"):
+            io.read_matrix_market(path)
+
+    def test_integral_floats_and_values_column_accepted(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n3.0 1 -2\n")
+        g = io.read_matrix_market(path)
+        assert sorted(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (2, 0)]
