@@ -49,6 +49,20 @@ def segment_operators(row: np.ndarray, col_ptr: np.ndarray, shape: tuple[int, in
             csc_array((ones, row, col_ptr), shape=(n_rows, n_cols)))
 
 
+def row_major_plan(row: np.ndarray, col: np.ndarray, n_rows: int):
+    """Row-major traversal plan ``(row_ptr, cols_in_row_order)`` of entries
+    given column-major as ``(row, col)``.
+
+    ``row_ptr[r] .. row_ptr[r + 1]`` slices ``cols_in_row_order`` into the
+    columns of row ``r``'s entries, ascending (the stable sort keeps each
+    row's entries in storage order).
+    """
+    order = np.argsort(row, kind="stable")
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=row_ptr[1:])
+    return row_ptr, col[order]
+
+
 class BinaryMatrixBase:
     """Common interface shared by COOC/CSC/CSR matrices.
 
@@ -71,6 +85,30 @@ class BinaryMatrixBase:
     def memory_words(self) -> int:
         """Number of 4-byte index words this format stores on the device."""
         raise NotImplementedError
+
+    def push_operator(self):
+        """Row-major operator ``A`` (``n_rows x n_cols``) of the restricted
+        push products in :mod:`repro.spmv._spmm`.
+
+        A symmetric structure (every undirected graph) is its own transpose,
+        so this is the cached gather operator itself; otherwise a CSR view
+        of :meth:`scatter_plan`'s arrays sharing the gather operator's ones
+        array, so no second m-sized index copy is made.  Formats that offer
+        it define ``spmm_operators``, ``scatter_plan``, ``symmetric`` and a
+        ``_push_op`` cache slot.
+        """
+        gather = self.spmm_operators()[0]
+        if self.symmetric:
+            return gather
+        if self._push_op is None:
+            from scipy.sparse import csr_array
+
+            row_ptr, cols = self.scatter_plan()
+            # int32 pointers (m fits, as col_ptr does), so SciPy keeps
+            # ``cols`` as is instead of widening a copy of it to int64
+            self._push_op = csr_array((gather.data, cols, row_ptr.astype(cols.dtype)),
+                                      shape=self.shape)
+        return self._push_op
 
     @property
     def memory_bytes(self) -> int:

@@ -86,12 +86,14 @@ def cooc_to_csc(mat: COOCMatrix) -> CSCMatrix:
     counts = np.bincount(mat.col, minlength=mat.n_cols)
     col_ptr = np.zeros(mat.n_cols + 1, dtype=np.int64)
     np.cumsum(counts, out=col_ptr[1:])
-    return CSCMatrix(col_ptr, mat.row.copy(), mat.shape, _skip_checks=True)
+    return CSCMatrix(col_ptr, mat.row.copy(), mat.shape, _skip_checks=True,
+                     symmetric=mat.symmetric)
 
 
 def csc_to_cooc(mat: CSCMatrix) -> COOCMatrix:
     """Expand a CSC matrix's column pointers into an explicit column array."""
-    return COOCMatrix(mat.row.copy(), mat.column_of_nnz(), mat.shape, _skip_checks=True)
+    return COOCMatrix(mat.row.copy(), mat.column_of_nnz(), mat.shape, _skip_checks=True,
+                      symmetric=mat.symmetric)
 
 
 def csc_to_csr(mat: CSCMatrix) -> CSRMatrix:

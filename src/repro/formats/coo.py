@@ -19,6 +19,7 @@ from repro.formats.base import (
     BinaryMatrixBase,
     INDEX_DTYPE,
     as_index_array,
+    row_major_plan,
     segment_operators,
 )
 
@@ -84,6 +85,7 @@ class COOCMatrix(BinaryMatrixBase):
         *,
         _skip_checks: bool = False,
         version: int = 0,
+        symmetric: bool = False,
     ):
         self.row = as_index_array(row, name="row")
         self.col = as_index_array(col, name="col")
@@ -91,6 +93,8 @@ class COOCMatrix(BinaryMatrixBase):
         self.shape = (n_rows, n_cols)
         # Edit generation; same identity-cache contract as CSCMatrix.version.
         self.version = int(version)
+        # Same contract as CSCMatrix.symmetric.
+        self.symmetric = bool(symmetric)
         if self.row.size != self.col.size:
             raise ValueError(
                 f"row and col must have equal length, got {self.row.size} != {self.col.size}"
@@ -99,6 +103,8 @@ class COOCMatrix(BinaryMatrixBase):
         self._col_counts: np.ndarray | None = None
         self._col_ptr: np.ndarray | None = None
         self._spmm_ops: tuple | None = None
+        self._scatter_plan: tuple[np.ndarray, np.ndarray] | None = None
+        self._push_op = None
         if not _skip_checks:
             self._validate()
 
@@ -162,6 +168,13 @@ class COOCMatrix(BinaryMatrixBase):
         if self._spmm_ops is None:
             self._spmm_ops = segment_operators(self.row, self.column_ptr(), self.shape)
         return self._spmm_ops
+
+    def scatter_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major traversal plan ``(row_ptr, cols_in_row_order)``; same
+        contract as :meth:`repro.formats.csc.CSCMatrix.scatter_plan`."""
+        if self._scatter_plan is None:
+            self._scatter_plan = row_major_plan(self.row, self.col, self.n_rows)
+        return self._scatter_plan
 
     def row_counts(self) -> np.ndarray:
         """Out-degree of each row."""

@@ -19,6 +19,7 @@ from repro.formats.base import (
     BinaryMatrixBase,
     INDEX_DTYPE,
     as_index_array,
+    row_major_plan,
     segment_operators,
 )
 
@@ -34,6 +35,7 @@ class CSCMatrix(BinaryMatrixBase):
         *,
         _skip_checks: bool = False,
         version: int = 0,
+        symmetric: bool = False,
     ):
         self.col_ptr = as_index_array(col_ptr, name="col_ptr")
         self.row = as_index_array(row, name="row")
@@ -45,6 +47,9 @@ class CSCMatrix(BinaryMatrixBase):
         # new one with ``version + 1`` (see repro.formats.edits) and the old
         # plans die with the old object.
         self.version = int(version)
+        # Whether the structure is known to equal its transpose (an
+        # undirected graph's); never inferred, so False is always safe.
+        self.symmetric = bool(symmetric)
         self._col_of_nnz: np.ndarray | None = None
         self._col_counts: np.ndarray | None = None
         self._scatter_plan: tuple[np.ndarray, np.ndarray] | None = None
@@ -54,6 +59,7 @@ class CSCMatrix(BinaryMatrixBase):
         # The tile directory grouped by row stripe (tcspmm.level_tile_stats).
         self._tile_row_order: tuple | None = None
         self._spmm_ops: tuple | None = None
+        self._push_op = None
         self._txn_cache: dict = {}
         if not _skip_checks:
             self._validate()
@@ -129,11 +135,7 @@ class CSCMatrix(BinaryMatrixBase):
         pull and scatter kernels' cost models read it every level.
         """
         if self._scatter_plan is None:
-            order = np.argsort(self.row, kind="stable")
-            counts = np.bincount(self.row, minlength=self.n_rows)
-            row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            np.cumsum(counts, out=row_ptr[1:])
-            self._scatter_plan = (row_ptr, self.column_of_nnz()[order])
+            self._scatter_plan = row_major_plan(self.row, self.column_of_nnz(), self.n_rows)
         return self._scatter_plan
 
     def spmm_operators(self) -> tuple:
@@ -197,6 +199,19 @@ class CSCMatrix(BinaryMatrixBase):
             self._txn_cache[key] = W.cached_gather_transactions(
                 self.row, element_bytes, self.n_rows, l2_bytes=l2_bytes
             )
+        return self._txn_cache[key]
+
+    def full_atomic_conflict_cycles(self) -> int:
+        """Intra-warp atomic conflicts of one thread per stored entry adding
+        into its own column -- the thread-per-entry gather with every column
+        selected, which every backward level issues; cached like
+        :meth:`full_gather_transactions`.
+        """
+        from repro.gpusim import warp as W
+
+        key = "atomic_conflicts"
+        if key not in self._txn_cache:
+            self._txn_cache[key] = W.atomic_conflict_cycles(self.column_of_nnz())
         return self._txn_cache[key]
 
     def to_dense(self) -> np.ndarray:

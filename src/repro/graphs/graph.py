@@ -131,6 +131,7 @@ class Graph:
             self._csc = CSCMatrix(
                 col_ptr, self._src, (self.n, self.n),
                 _skip_checks=True, version=self.cache_version,
+                symmetric=not self.directed,
             )
         return self._csc
 
@@ -140,6 +141,7 @@ class Graph:
             self._cooc = COOCMatrix(
                 self._src, self._dst, (self.n, self.n),
                 _skip_checks=True, version=self.cache_version,
+                symmetric=not self.directed,
             )
         return self._cooc
 

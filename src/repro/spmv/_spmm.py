@@ -9,7 +9,7 @@ lanes match the per-source kernels bit for bit (DESIGN.md §7,
 "Bit-exactness contract"):
 
 * SciPy's ``csr_matvec(s)``/``csc_matvec(s)`` loops start every output
-  entry at zero and add ``1.0 * x`` one stored entry at a time in storage
+  entry at +0.0 and add ``1.0 * x`` one stored entry at a time in storage
   order, in float64 -- the sequential order of ``np.bincount``, unlike the
   pairwise loop of ``np.add.reduceat`` (DESIGN.md §9);
 * masked-out gather sums are zeroed after the product, so a mask never
@@ -17,6 +17,29 @@ lanes match the per-source kernels bit for bit (DESIGN.md §7,
 * scatter products only see positive sources (``where(x > 0, x, 0)``);
 * the float64 accumulator is cast to the kernel dtype once, afterwards,
   in one branch-free ``where`` pass (:func:`cast_like_spmv`).
+
+Products are frontier-proportional.  Omitting a stored entry changes no
+bit when its input row is zero in every lane, or (masked gather) its
+output column is disallowed in every lane: the omitted term is ``1.0 * 0``
+(+-0.0), a running sum that starts at +0.0 is never -0.0, and adding +-0.0
+to it is the identity -- wrapped negative int32, NaN and inf included.  So
+:func:`gather_spmm_values` runs one of three products, each keeping
+storage order:
+
+* **push** -- ``push_operator()[rows].T @ X[rows]`` over the rows with a
+  nonzero lane: a CSC product adds each output's inputs in ascending row
+  order, which is CSC/COOC storage order (rows strictly increase within a
+  column);
+* **pull** -- ``gather[cols] @ X`` over the columns with an allowed lane,
+  scattered into zeros;
+* **full** -- ``gather @ X``.
+
+:func:`choose_path` takes the smaller entry mass and keeps the full product
+when it exceeds ``RESTRICT_MAX_SHARE * m``; below ``m * B`` =
+``FULL_BELOW_LANE_ENTRIES`` no mass is even computed.
+:func:`scatter_spmm_values` restricts the same way to the columns with a
+nonzero lane.  The O(nnz) integer counts of the kernels' stats run through
+the same two functions (exact in any order).
 
 The SpMM kernels' stats reduce ``(n, B)`` bool lane masks along the lane
 axis -- written columns, active rows, lanes per column.  :func:`lane_any`
@@ -68,6 +91,51 @@ def check_allowed_vector(allowed, n_cols: int) -> np.ndarray:
     return allowed
 
 
+#: Restricted products pay a fixed Python cost (masses, index lists, a
+#: sliced operator); below this many lane-entries ``m * B`` every call keeps
+#: the full product.  On a 2-core x86-64 VM a masked push call at
+#: ``m * B`` = 25.7k took 0.32-0.41 ms against 0.20-0.22 ms for the full
+#: one; at 139k push won below 5% live rows.
+FULL_BELOW_LANE_ENTRIES = 1 << 17
+#: A restricted product runs only while its entry mass is at most this share
+#: of ``m``: slicing the operator copies the entries it keeps, so a product
+#: over most of them gains nothing.
+RESTRICT_MAX_SHARE = 0.5
+
+
+def _live(mask: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a vector or ``(n, B)`` mask set in some lane."""
+    return np.flatnonzero(mask if mask.ndim == 1 else lane_any(mask))
+
+
+def _mass(indptr: np.ndarray, major: np.ndarray) -> int:
+    """Stored entries of the operator rows (CSR) / columns (CSC) ``major``."""
+    return int((indptr[major + 1] - indptr[major]).sum(dtype=np.int64))
+
+
+def column_entries(col_ptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Storage positions of the entries of the ascending columns ``cols``,
+    in storage order -- O(their entries), not a pass over all ``m``."""
+    counts = col_ptr[cols + 1] - col_ptr[cols]
+    pos = np.repeat(col_ptr[cols] - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(pos.size, dtype=pos.dtype)
+    return pos
+
+
+def choose_path(m: int, push: int, pull: int | None) -> str:
+    """``"push"``, ``"pull"`` or ``"full"`` for a product over ``m`` stored
+    entries whose restricted forms touch ``push`` / ``pull`` of them
+    (``pull=None``: not offered); the cheaper mass wins unless it exceeds
+    ``RESTRICT_MAX_SHARE * m``."""
+    path, mass = ("pull", pull) if pull is not None and pull < push else ("push", push)
+    return path if mass <= RESTRICT_MAX_SHARE * m else "full"
+
+
+def _past_floor(fmt, X: np.ndarray) -> bool:
+    """Whether ``fmt @ X`` is past the ``m * B`` floor of restricted products."""
+    return fmt.nnz * (X.shape[1] if X.ndim == 2 else 1) >= FULL_BELOW_LANE_ENTRIES
+
+
 def gather_spmm_values(fmt, X: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
     """Column sums ``sums[c, j] = sum_{k in column c} X[row[k], j]`` in float64.
 
@@ -76,9 +144,32 @@ def gather_spmm_values(fmt, X: np.ndarray, allowed: np.ndarray | None = None) ->
     bool mask) zeroes the masked-out (column, lane) sums.  The result is the
     pre-cast accumulator of every gather kernel; ``X`` may also be a
     length-``n_rows`` vector with an ``(n_cols,)`` mask.
+
+    The product runs over the live rows only (push), over the allowed
+    columns only (pull) or over every entry (full), whichever
+    :func:`choose_path` picks; the three are bit-identical (module
+    docstring).
     """
-    sums = fmt.spmm_operators()[0] @ X.astype(np.float64, copy=False)
-    if allowed is not None and not allowed.all():
+    gather = fmt.spmm_operators()[0]
+    masked = allowed is not None and not allowed.all()
+    path = "full"
+    if _past_floor(fmt, X):
+        push_op = fmt.push_operator()
+        rows = _live(X != 0)
+        cols = _live(allowed) if masked else None
+        path = choose_path(fmt.nnz, _mass(push_op.indptr, rows),
+                           None if cols is None else _mass(gather.indptr, cols))
+    if path == "pull":
+        part = gather[cols] @ X.astype(np.float64, copy=False)
+        part[~allowed[cols]] = 0.0
+        sums = np.zeros((fmt.n_cols,) + X.shape[1:])
+        sums[cols] = part
+        return sums
+    if path == "push":
+        sums = push_op[rows].T @ X[rows].astype(np.float64, copy=False)
+    else:
+        sums = gather @ X.astype(np.float64, copy=False)
+    if masked:
         sums[~allowed] = 0.0
     return sums
 
@@ -87,9 +178,16 @@ def scatter_spmm_values(fmt, X: np.ndarray) -> np.ndarray:
     """Row sums ``sums[r, j] = sum_{k in row r} X[col[k], j]`` in float64.
 
     Each row accumulates its entries in column-major storage order; ``X``
-    may also be a vector.
+    may also be a vector.  Past the same crossover as
+    :func:`gather_spmm_values` only the columns with a nonzero lane are
+    multiplied (``scatter[:, cols] @ X[cols]`` keeps storage order).
     """
-    return fmt.spmm_operators()[1] @ X.astype(np.float64, copy=False)
+    scatter = fmt.spmm_operators()[1]
+    if _past_floor(fmt, X):
+        cols = _live(X != 0)
+        if choose_path(fmt.nnz, _mass(scatter.indptr, cols), None) == "push":
+            return scatter[:, cols] @ X[cols].astype(np.float64, copy=False)
+    return scatter @ X.astype(np.float64, copy=False)
 
 
 def gather_spmv(fmt, x: np.ndarray, allowed, out_dtype) -> tuple[np.ndarray, int]:

@@ -160,7 +160,7 @@ def edgecsc_spmv_scatter(
         else 0
     )
     # Longest same-address atomic chain: active entries per row (exact).
-    serial = int((csc.spmm_operators()[1] @ active).max(initial=0)) * dtype_factor
+    serial = int(M.scatter_spmm_values(csc, active).max(initial=0)) * dtype_factor
     look = lookup_cycles(n)
     stats = KernelStats(
         name="edgecsc_spmv_scatter",
@@ -223,10 +223,15 @@ def edgecsc_spmm(
     scanned = np.where(col_select, degrees, 0).astype(np.int64)
     total_scanned = int(scanned.sum())
     lane_entries = int((scanned * lanes).sum())
-    # Entries of the selected columns in storage order (column-major), i.e.
-    # column_of_nnz() filtered by col_select, without an O(nnz) mask pass.
-    sel_cols = np.flatnonzero(col_select).astype(INDEX_DTYPE)
-    dst_sel = np.repeat(sel_cols, degrees[col_select])
+    if col_select.all():
+        # every backward level and every unmasked forward one: a constant
+        conflicts = csc.full_atomic_conflict_cycles()
+    else:
+        # Entries of the selected columns in storage order (column-major),
+        # i.e. column_of_nnz() filtered by col_select, without an O(nnz)
+        # mask pass.
+        sel_cols = np.flatnonzero(col_select).astype(INDEX_DTYPE)
+        conflicts = W.atomic_conflict_cycles(np.repeat(sel_cols, degrees[col_select]))
     written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
     look = lookup_cycles(n)
     read_txn = (
@@ -242,14 +247,14 @@ def edgecsc_spmm(
         else 0
     )
     # Longest same-address chain: every entry of a selected column hits it.
-    serial = int(degrees[col_select].max()) * dtype_factor if dst_sel.size else 0
+    serial = int(degrees[col_select].max(initial=0)) * dtype_factor
     stats = KernelStats(
         name="edgecsc_spmm",
         threads=m,
         warp_cycles=(
             W.uniform_warp_cycles(m, _BASE_CYCLES + look)
             + W.warp_count(lane_entries) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(dst_sel) * dtype_factor
+            + conflicts * dtype_factor
         ),
         dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
         dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
@@ -288,12 +293,10 @@ def edgecsc_spmm_scatter(
     l2 = device.spec.l2_bytes
     itemsize = X.dtype.itemsize
     dtype_factor = W.dtype_cycle_factor(X.dtype)
-    col_of_nnz = csc.column_of_nnz()
     lanes_per_col = M.lane_count(pos)
-    entry_lanes = lanes_per_col[col_of_nnz]
-    lane_entries = int(entry_lanes.sum())
-    contrib = entry_lanes > 0
-    rows_contrib = csc.row[contrib]
+    lane_entries = int(lanes_per_col @ csc.column_counts())
+    # rows of the entries with a contributing lane, in storage order
+    rows_contrib = csc.row[M.column_entries(csc.col_ptr, np.flatnonzero(lanes_per_col))]
     look = lookup_cycles(n)
     read_txn = (
         W.coalesced_transactions(m)

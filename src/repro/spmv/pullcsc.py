@@ -128,9 +128,7 @@ def _pullcsc_stats(
 
     # Contributing entries (bitmap hits): the only scattered x gathers.
     # Active rows per column is an exact integer count in float64.
-    contrib_per_col = np.where(
-        allowed, csc.spmm_operators()[0] @ active_rows, 0
-    ).astype(np.int64)
+    contrib_per_col = M.gather_spmm_values(csc, active_rows, allowed).astype(np.int64)
     total_contrib = int(contrib_per_col.sum())
     lane_width = lanes if lanes is not None else 1
 
@@ -223,7 +221,7 @@ def pullcsc_spmv_scatter(
 
     row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
     # Bitmap hits per row: active entries, an exact integer count in float64.
-    contrib_per_row = (csc.spmm_operators()[1] @ (x > 0)).astype(np.int64)
+    contrib_per_row = M.scatter_spmm_values(csc, x > 0).astype(np.int64)
     n_contrib = int(contrib_per_row.sum())
     dtype_factor = W.dtype_cycle_factor(x.dtype)
     item = x.dtype.itemsize
@@ -335,9 +333,7 @@ def pullcsc_spmm_scatter(
 
     row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
     # Exact per-row hit counts: entries in a column active in any lane.
-    contrib_per_row = (
-        csc.spmm_operators()[1] @ M.lane_any(pos)
-    ).astype(np.int64)
+    contrib_per_row = M.scatter_spmm_values(csc, M.lane_any(pos)).astype(np.int64)
     total = int(row_deg.sum())
     total_contrib = int(contrib_per_row.sum())
     dtype_factor = W.dtype_cycle_factor(X.dtype)

@@ -128,7 +128,7 @@ def sccsc_spmv_scatter(
     write_txn = W.scalar_gather_transactions(total, csc.n_rows, 4,
                                              l2_bytes=device.spec.l2_bytes)
     # Longest same-address atomic chain: active entries per row (exact).
-    serial = int((csc.spmm_operators()[1] @ active).max(initial=0))
+    serial = int(M.scatter_spmm_values(csc, active).max(initial=0))
     stats = KernelStats(
         name="sccsc_spmv_scatter",
         threads=n,

@@ -278,7 +278,7 @@ def tcspmm_spmv(
 
     active_rows = x > 0
     # allowed entries with an active row: an exact integer in float64
-    n_flops = int(allowed @ (csc.spmm_operators()[0] @ active_rows))
+    n_flops = int(M.gather_spmm_values(csc, active_rows, allowed).sum())
     stats = _entry_tc_stats(
         csc, stripe_any(active_rows), stripe_any(allowed), 1, x.dtype,
         n_written, n_flops, "tcspmm_spmv", device.spec.l2_bytes,
@@ -346,7 +346,7 @@ def tcspmm_spmm(
     lanes = M.lane_count(allowed)
     col_select = lanes > 0
     # allowed lanes x active rows per column: an exact integer in float64
-    n_flops = int(lanes @ (csc.spmm_operators()[0] @ active_rows))
+    n_flops = int(lanes @ M.gather_spmm_values(csc, active_rows, col_select))
     stats = _entry_tc_stats(
         csc, stripe_any(active_rows), stripe_any(col_select), B, X.dtype,
         write_txn, n_flops, "tcspmm_spmm", device.spec.l2_bytes,

@@ -132,7 +132,7 @@ def veccsc_spmv_scatter(
     active = x > 0
     rows_sel = csc.row[active[csc.column_of_nnz()]]
     # Longest same-address atomic chain: active entries per row (exact).
-    serial = int((csc.spmm_operators()[1] @ active).max(initial=0))
+    serial = int(M.scatter_spmm_values(csc, active).max(initial=0))
     stats = _veccsc_stats(csc, active, x, rows_sel,
                           int(rows_sel.size), "veccsc_spmv_scatter",
                           device.spec.l2_bytes, serial_updates=serial)

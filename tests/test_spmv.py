@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs.graph import Graph
 from repro.gpusim.device import Device
 from repro.spmv import (
     reference_spmv,
@@ -471,3 +472,198 @@ def test_no_short_axis_lane_reductions_in_kernels_or_dispatch():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+# -- frontier-proportional products ------------------------------------------
+
+RESTRICT_PATHS = ("push", "pull", "full")
+
+
+def _force_path(monkeypatch, path: str) -> None:
+    """Send every engine product through ``path``, whatever its size (pull
+    only where a mask offers it; a scatter's only restricted form is push)."""
+    from repro.spmv import _spmm as M
+
+    monkeypatch.setattr(M, "FULL_BELOW_LANE_ENTRIES", 0)
+    monkeypatch.setattr(
+        M, "choose_path",
+        lambda m, push, pull: "full" if path == "pull" and pull is None else path)
+
+
+def _restrict_graphs():
+    """An undirected graph with isolated vertices, and a digraph."""
+    from repro.graphs.generators.smallworld import small_world_graph
+    from repro.graphs.generators.webgraph import preferential_attachment_digraph
+
+    sw = small_world_graph(150, k=6, rewire_p=0.2, seed=7)
+    return {
+        "undirected+isolated": Graph(sw.src, sw.dst, sw.n + 6, directed=False),
+        "digraph": preferential_attachment_digraph(160, mean_degree=6, seed=8),
+    }
+
+
+def _restrict_input(n: int, B: int, dtype, rng) -> np.ndarray:
+    """Mostly-zero rows (so restriction skips entries), rows live in only some
+    lanes, whole rows of -0.0, wrapped negative int32, and +-inf / NaN."""
+    shape = (n,) if B == 1 else (n, B)
+    if np.dtype(dtype).kind == "f":
+        X = (rng.uniform(0.1, 3.0, shape) * 2.0 ** rng.integers(-40, 40, shape)).astype(dtype)
+        X[rng.random(shape) < 0.1] *= -1
+        X[rng.random(shape) < 0.03] = np.inf
+        X[rng.random(shape) < 0.03] = -np.inf
+        X[rng.random(shape) < 0.03] = np.nan
+    else:
+        X = rng.integers(2**30, 2**31 - 1, shape, dtype=np.int32)
+        X[rng.random(shape) < 0.3] = rng.integers(-(2**31), -1, dtype=np.int32)
+    X[rng.random(shape) < 0.4] = 0
+    dead = rng.random(n) < 0.7
+    X[dead] = 0
+    if np.dtype(dtype).kind == "f":
+        X[dead & (rng.random(n) < 0.5)] = -0.0
+    return X
+
+
+def _restrict_masks(n: int, B: int, rng):
+    shape = (n,) if B == 1 else (n, B)
+    return {"none": None, "all-true": np.ones(shape, dtype=bool),
+            "partial": rng.random(shape) < 0.3, "all-false": np.zeros(shape, dtype=bool)}
+
+
+class TestRestrictedProducts:
+    """Push, pull and full products return the same bytes as the full
+    operator product, for either format, any width and any input."""
+
+    @pytest.mark.parametrize("dtype", (np.int32, np.float32, np.float64))
+    @pytest.mark.parametrize("B", (1, 3, 8))
+    @pytest.mark.parametrize("fmt_name", ("csc", "cooc"))
+    @pytest.mark.parametrize("path", RESTRICT_PATHS)
+    def test_engine_bytes_equal_full_product(self, monkeypatch, path, fmt_name, B, dtype):
+        from repro.spmv import _spmm as M
+
+        _force_path(monkeypatch, path)
+        rng = np.random.default_rng(B)
+        for gname, g in _restrict_graphs().items():
+            fmt = g.to_csc() if fmt_name == "csc" else g.to_cooc()
+            assert fmt.symmetric == (not g.directed)
+            gather, scatter = fmt.spmm_operators()
+            frontiers = [_restrict_input(g.n, B, dtype, rng),
+                         np.zeros((g.n,) if B == 1 else (g.n, B), dtype=dtype)]
+            for X in frontiers:
+                X64 = X.astype(np.float64)
+                full = gather @ X64
+                for mname, allowed in _restrict_masks(g.n, B, rng).items():
+                    want = full.copy()
+                    if allowed is not None:
+                        want[~allowed] = 0.0
+                    got = M.gather_spmm_values(fmt, X, allowed)
+                    assert got.dtype == np.float64 and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (gname, mname)
+                got = M.scatter_spmm_values(fmt, X)
+                assert got.tobytes() == (scatter @ X64).tobytes(), gname
+
+    def test_choose_path_crossover(self):
+        from repro.spmv._spmm import RESTRICT_MAX_SHARE, choose_path
+
+        m = 1000
+        half = int(RESTRICT_MAX_SHARE * m)
+        assert choose_path(m, 10, 20) == "push"
+        assert choose_path(m, 20, 10) == "pull"
+        assert choose_path(m, 10, None) == "push"
+        assert choose_path(m, half, None) == "push"
+        assert choose_path(m, half + 1, None) == "full"
+        assert choose_path(m, half + 1, half + 2) == "full"
+        assert choose_path(m, m, half) == "pull"
+
+    def test_below_the_floor_no_mass_is_computed(self, monkeypatch):
+        from repro.spmv import _spmm as M
+
+        def fail(*args):
+            raise AssertionError("choose_path called below the floor")
+
+        monkeypatch.setattr(M, "choose_path", fail)
+        csc = _restrict_graphs()["digraph"].to_csc()
+        assert csc.nnz * 8 < M.FULL_BELOW_LANE_ENTRIES
+        X = np.ones((csc.n_rows, 8))
+        M.gather_spmm_values(csc, X, np.ones((csc.n_cols, 8), dtype=bool))
+        M.scatter_spmm_values(csc, X)
+        assert csc._push_op is None and csc._scatter_plan is None
+
+    def test_undirected_push_operator_is_the_gather_operator(self):
+        g = _restrict_graphs()["undirected+isolated"]
+        for fmt in (g.to_csc(), g.to_cooc()):
+            assert fmt.push_operator() is fmt.spmm_operators()[0]
+            assert fmt._push_op is None and fmt._scatter_plan is None
+
+    def test_digraph_push_operator_shares_the_plan(self):
+        d = _restrict_graphs()["digraph"]
+        for fmt in (d.to_csc(), d.to_cooc()):
+            op = fmt.push_operator()
+            row_ptr, cols = fmt.scatter_plan()
+            assert np.shares_memory(op.indices, cols)
+            assert np.shares_memory(op.data, fmt.spmm_operators()[0].data)
+            np.testing.assert_array_equal(op.toarray(), fmt.to_dense())
+            assert fmt.push_operator() is op
+
+    def test_column_entries_and_conflict_memo(self):
+        from repro.gpusim import warp as W
+        from repro.spmv._spmm import column_entries
+
+        csc = _restrict_graphs()["digraph"].to_csc()
+        rng = np.random.default_rng(2)
+        for cols in (np.arange(csc.n_cols), np.flatnonzero(rng.random(csc.n_cols) < 0.3),
+                     np.zeros(0, dtype=np.int64)):
+            want = np.flatnonzero(np.isin(csc.column_of_nnz(), cols))
+            np.testing.assert_array_equal(column_entries(csc.col_ptr, cols), want)
+        assert csc.full_atomic_conflict_cycles() == W.atomic_conflict_cycles(
+            csc.column_of_nnz())
+
+    @pytest.mark.parametrize("path", ("push", "pull"))
+    def test_entry_points_match_the_full_path(self, monkeypatch, path):
+        """Every B = 1 and B >= 2 entry point: output bytes and launch stats
+        under a forced restricted path equal those of the full product."""
+        import repro.spmv as S
+
+        rng = np.random.default_rng(9)
+        cases = []
+        for g in _restrict_graphs().values():
+            for family in ("sccooc", "sccsc", "veccsc", "edgecsc", "pullcsc", "tcspmm"):
+                fmt = g.to_cooc() if family == "sccooc" else g.to_csc()
+                for B in (1, 3):
+                    kind = "spmv" if B == 1 else "spmm"
+                    for dtype in (np.int32, np.float32):
+                        X = _restrict_input(g.n, B, dtype, rng)
+                        mask = _restrict_masks(g.n, B, rng)["partial"]
+                        if family != "sccooc":   # the COOC gather is unmasked
+                            cases.append((f"{family}_{kind}", fmt, X, {"allowed": mask}))
+                        cases.append((f"{family}_{kind}", fmt, X, {}))
+                        cases.append((f"{family}_{kind}_scatter", fmt, X, {}))
+
+        def run(name, fmt, X, kw):
+            y, launch = getattr(S, name)(Device(), fmt, X, **kw)
+            return y.tobytes(), launch.stats
+
+        with monkeypatch.context() as mp:
+            _force_path(mp, "full")
+            want = [run(*c) for c in cases]
+        _force_path(monkeypatch, path)
+        got = [run(*c) for c in cases]
+        for case, w, g_ in zip(cases, want, got):
+            assert g_ == w, case[0]
+
+
+def test_restricted_path_leaves_the_modeled_snapshot_unchanged(monkeypatch):
+    """The B >= 2 and digraph cells of the modeled snapshot with a restricted
+    product (push or pull, whichever is cheaper) forced on every level."""
+    import json
+
+    from repro.spmv import _spmm as M
+    import tests.test_modeled_snapshot as snap
+
+    monkeypatch.setattr(M, "FULL_BELOW_LANE_ENTRIES", 0)
+    monkeypatch.setattr(M, "RESTRICT_MAX_SHARE", float("inf"))
+    want = json.loads(snap.SNAPSHOT.read_text())["cells"]
+    cells = [c for c in want if "/digraph/" in c or "/b3/" in c or "/b8/" in c
+             or c.endswith("/b3")]
+    assert len(cells) > 200
+    changed = [c for c in cells if snap._digest(c) != want[c]]
+    assert not changed, changed[:20]
