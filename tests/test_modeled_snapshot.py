@@ -4,6 +4,10 @@ Each cell runs one configuration on a fresh device and folds into a sha256:
 the ``bc`` bytes, every launch's ``KernelStats`` fields, name, tag and
 ``time_s``, every ``DispatchDecision`` field (``est_us`` and
 ``measured_us`` included) and the modeled ``BCRunStats`` fields.  The
+``kernel/...`` cells call the 24 SpMV/SpMM entry points directly, on
+operands the drivers never build (wrapped negative int32, float32 and
+float64 frontiers; no, all-true, partial and all-false masks; B in
+{1, 3, 8, 9}), and fold each call's ``y`` bytes and launch.  The
 digests live in ``modeled_snapshot.json`` beside this file; a one-ulp or
 one-count change to any of them fails the cell that produced it.
 
@@ -20,7 +24,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from repro import Device, Graph, turbo_bc
+from repro import Device, Graph, spmv, turbo_bc
 from repro.core.bfs import turbo_bfs
 from repro.core.forward import SigmaOverflowError
 from repro.extensions.edge_bc import edge_betweenness
@@ -179,6 +183,58 @@ def _telemetry_cell(graph, batch) -> str:
     return d.hexdigest()
 
 
+#: Kernel name -> the graph format its entry points read.
+KERNELS = {"sccooc": "cooc", "sccsc": "csc", "veccsc": "csc", "edgecsc": "csc",
+           "pullcsc": "csc", "tcspmm": "csc"}
+KERNEL_WIDTHS = (1, 3, 8, 9)
+
+
+def _kernel_operand(dtype: str, shape, rng) -> np.ndarray:
+    """A frontier with zeros and negatives: int32 values past 2^30 (so
+    column sums overflow int32) and a few wrapped ones near ``INT_MIN``,
+    or normal floats with zeros, a negative zero, an infinity and a NaN."""
+    if dtype == "int32":
+        x = rng.integers(-3, 6, size=shape).astype(np.int32)
+        big = rng.random(shape) < 0.1
+        x[big] = rng.integers(1 << 30, (1 << 31) - 1, size=int(big.sum()))
+        x.flat[::17] = np.iinfo(np.int32).min + 3
+        return x
+    x = rng.standard_normal(shape).astype(dtype) * 4
+    x[rng.random(shape) < 0.4] = 0
+    x.flat[1], x.flat[2], x.flat[5], x.flat[7] = -0.0, np.inf, 0, np.nan
+    return x
+
+
+def _kernel_masks(n: int, B: int | None, rng):
+    shape = (n,) if B is None else (n, B)
+    yield "none", None
+    yield "all", np.ones(shape, dtype=bool)
+    yield "partial", rng.random(shape) < 0.6
+    yield "empty", np.zeros(shape, dtype=bool)
+
+
+def _kernel_cell(graph, kernel, suffix, dtype) -> str:
+    """Every call of one entry point over one operand dtype: each width,
+    and for masked gathers each mask."""
+    d = _Digest()
+    dev = Device()
+    fn = getattr(spmv, f"{kernel}_{suffix}")
+    mat = graph.to_cooc() if KERNELS[kernel] == "cooc" else graph.to_csc()
+    masked = kernel != "sccooc" and "scatter" not in suffix
+    rng = np.random.default_rng(sum(map(ord, f"{kernel}{suffix}{dtype}")))
+    for B in ((None,) if "spmv" in suffix else KERNEL_WIDTHS):
+        x = _kernel_operand(dtype, (graph.n,) if B is None else (graph.n, B), rng)
+        masks = _kernel_masks(graph.n, B, rng) if masked else (("none", None),)
+        for mname, allowed in masks:
+            kwargs = {} if allowed is None else {"allowed": allowed}
+            y, launch = fn(dev, mat, x, tag=f"{B}/{mname}", **kwargs)
+            d.feed(B, mname, y, launch.stats, launch.name, launch.tag, launch.time_s)
+        if dtype == "int32":
+            y, launch = fn(dev, mat, x, out_dtype=np.float64, tag=f"{B}/f64")
+            d.feed(B, y, launch.stats, launch.name, launch.time_s)
+    return d.hexdigest()
+
+
 def _cells():
     """``cell id -> zero-argument digest function`` for the whole grid."""
     cells = {}
@@ -202,6 +258,12 @@ def _cells():
                     _bfs_cell, GRAPHS[gname], (algorithm, dtype))
     cells["telemetry/diamonds/b1"] = (_telemetry_cell, GRAPHS["diamonds"], (1,))
     cells["telemetry/road12/b3"] = (_telemetry_cell, GRAPHS["road12"], (3,))
+    for gname in ("disconnected", "digraph"):
+        for kernel in KERNELS:
+            for suffix in ("spmv", "spmv_scatter", "spmm", "spmm_scatter"):
+                for dtype in ("int32", "float32", "float64"):
+                    cells[f"kernel/{gname}/{kernel}_{suffix}/{dtype}"] = (
+                        _kernel_cell, GRAPHS[gname], (kernel, suffix, dtype))
     return cells
 
 
