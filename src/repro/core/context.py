@@ -409,9 +409,9 @@ class TurboBCContext:
             y, stats = self._kernels(stage)[kernel](self._recorder, self.matrix, x, **kwargs)
             return y, None, stats
         if stage == "backward" and self.graph.directed:
-            return M.scatter_spmv(self.matrix, x, None), None, None
-        y, n_written = M.gather_spmv(self.matrix, x, allowed, None)
-        return y, n_written, None
+            return M.product(self.matrix, x, batched=False, scatter=True).y, None, None
+        p = M.product(self.matrix, x, batched=False, allowed=allowed, need="written")
+        return p.y, p.written, None
 
     def launch_spmv(self, stage: str, operands, *, kernel: str | None = None,
                     stats=None, tag: str = "") -> KernelLaunch:

@@ -18,9 +18,20 @@ kernel        parallelisation    sweet spot
                                  shuffle reduction
 ============  =================  ===========================================
 
-Every kernel function returns ``(y, KernelLaunch)``: the numerically exact
-result computed with vectorised NumPy, and the launch record carrying the
-structure-exact hardware statistics of the equivalent CUDA kernel.
+This package adds three more over the same stored CSC: ``edgeCSC`` (the
+scCOOC strategy with a per-thread ``CP_A`` lookup, for the adaptive
+dispatcher), ``pullCSC`` (bottom-up, bitmap probes with an early exit) and
+``tcSpMM`` (blocked 16x16 tiles on the simulated tensor cores).
+
+All six compute the same product and differ only in cost.  Every kernel
+function returns ``(y, KernelLaunch)`` from three calls:
+:func:`repro.spmv._spmm.product` validates the operand and mask, runs the
+one numeric engine and casts once, returning ``y`` with the counts the
+kernel's pricing reads; the kernel module's cost function turns those
+counts and the stored structure into the structure-exact ``KernelStats``
+of the equivalent CUDA kernel; ``device.launch`` records it.  Each module
+has one cost function per direction (gather, scatter), or one for both;
+the SpMV is priced as a width-1 SpMM, with SpMV-only formulas as branches.
 
 All "forward" kernels compute the gather product ``y = A^T x`` (per stored
 entry ``(r, c)``: ``y[c] += x[r]``); the ``_scatter`` variants compute

@@ -1,22 +1,31 @@
-"""The one numeric engine of every SpMV and SpMM kernel.
+"""The one numerics step of every SpMV and SpMM kernel.
 
-The per-source (SpMV) kernels multiply the sparse adjacency structure by a
-frontier vector; the batched (SpMM) kernels by an ``n x B`` frontier
-*matrix*, one column per BFS source.  A vector is a width-1 matrix: both
-go through the same compiled SciPy sparse x dense product over the
-format's own column-major index arrays (``spmm_operators``), so batched
-lanes match the per-source kernels bit for bit (DESIGN.md §7,
-"Bit-exactness contract"):
+The six kernels compute the same masked product and differ only in how a
+GPU would schedule it.  So every entry point makes three calls: this
+module's :func:`product` (validate the operand and mask, multiply, cast
+once), its kernel's cost function of the returned counts
+(:class:`Product`), and ``device.launch``.  The per-source (SpMV) kernels
+multiply the sparse adjacency structure by a frontier vector; the batched
+(SpMM) kernels by an ``n x B`` frontier *matrix*, one column per BFS
+source.  A vector is a width-1 matrix: both go through the same compiled
+SciPy sparse x dense product over the format's own column-major index
+arrays (``spmm_operators``), so batched lanes match the per-source kernels
+bit for bit (DESIGN.md §7, "Bit-exactness contract"):
 
-* SciPy's ``csr_matvec(s)``/``csc_matvec(s)`` loops start every output
+* SciPy's ``csr_matvec(s)``/``csc_matvecs`` loops start every output
   entry at +0.0 and add ``1.0 * x`` one stored entry at a time in storage
   order, in float64 -- the sequential order of ``np.bincount``, unlike the
   pairwise loop of ``np.add.reduceat`` (DESIGN.md §9);
 * masked-out gather sums are zeroed after the product, so a mask never
   changes the arithmetic of an allowed column;
-* scatter products only see positive sources (``where(x > 0, x, 0)``);
+* atomic products -- every scatter, and scCOOC's gather -- only see
+  positive inputs (``where(x > 0, x, 0)``) and store every sum; the other
+  gathers store the positive sums only;
 * the float64 accumulator is cast to the kernel dtype once, afterwards,
-  in one branch-free ``where`` pass (:func:`cast_like_spmv`).
+  in one branch-free ``where`` pass (:func:`cast_like_spmv`).  An integer
+  dtype receives ``iinfo.min`` for every sum whose truncation it cannot
+  hold, and for NaN, on every platform -- so int32 sigma overflow always
+  shows as ``sigma < 0``.
 
 Products are frontier-proportional.  Omitting a stored entry changes no
 bit when its input row is zero in every lane, or (masked gather) its
@@ -38,12 +47,12 @@ storage order:
 when it exceeds ``RESTRICT_MAX_SHARE * m``; below ``m * B`` =
 ``FULL_BELOW_LANE_ENTRIES`` no mass is even computed.
 :func:`scatter_spmm_values` restricts the same way to the columns with a
-nonzero lane.  The O(nnz) integer counts of the kernels' stats run through
+nonzero lane.  The O(nnz) integer counts of the cost functions run through
 the same two functions (exact in any order).
 
-The SpMM kernels' stats reduce ``(n, B)`` bool lane masks along the lane
-axis -- written columns, active rows, lanes per column.  :func:`lane_any`
-and :func:`lane_count` read each mask row as ``ceil(B / 8)`` 8-byte words
+The counts reduce ``(n, B)`` bool lane masks along the lane axis --
+written columns, active rows, lanes per column.  :func:`lane_any` and
+:func:`lane_count` read each mask row as ``ceil(B / 8)`` 8-byte words
 (``!= 0``, and a byte sum by one multiply) instead of a short-axis
 ``any``/``sum``.
 
@@ -52,43 +61,93 @@ and :func:`lane_count` read each mask row as ``ceil(B / 8)`` 8-byte words
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-
-def as_frontier_matrix(X: np.ndarray, n_rows: int) -> np.ndarray:
-    """Validate an ``(n_rows, B)`` frontier matrix with ``B >= 1``."""
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != n_rows or X.shape[1] < 1:
-        raise ValueError(
-            f"frontier matrix must have shape ({n_rows}, B >= 1), got {X.shape}"
-        )
-    return X
+from repro.gpusim.warp import TRANSACTION_BYTES
 
 
-def check_allowed_matrix(allowed, n_cols: int, B: int) -> np.ndarray:
-    """Validate a per-(column, lane) boolean mask of shape ``(n_cols, B)``."""
-    allowed = np.asarray(allowed)
-    if allowed.shape != (n_cols, B) or allowed.dtype != bool:
-        raise ValueError(f"allowed must be a boolean mask of shape ({n_cols}, {B})")
-    return allowed
+class Product(NamedTuple):
+    """One product's output and the counts its kernel's cost function reads.
+
+    A vector operand is priced as a width-1 matrix: ``B == 1``, and its
+    ``lanes``/``active`` are bool vectors (zero or one lane).  ``lanes``,
+    ``active`` and ``written`` are ``None`` unless :func:`product` was
+    asked for them.
+    """
+
+    y: np.ndarray
+    scatter: bool
+    #: the operand was a vector (an SpMV entry point)
+    vector: bool
+    B: int
+    x_dtype: np.dtype
+    out_dtype: np.dtype
+    #: a gather's ``allowed`` was given: veCSC, pullCSC and tcSpMM price
+    #: ``None`` apart from an all-true mask
+    masked: bool
+    #: allowed lanes per output column of a gather
+    lanes: np.ndarray | None
+    #: positive lanes per input index: rows of a gather, columns of a scatter
+    active: np.ndarray | None
+    #: outputs with a positive (gather) or nonzero (scatter) lane sum
+    written: int | None
+
+    @property
+    def out_row_txn(self) -> int:
+        """Transactions that store one B-wide output row."""
+        return -(-self.B * self.out_dtype.itemsize // TRANSACTION_BYTES)
 
 
-def as_frontier_vector(x, n_rows: int) -> np.ndarray:
-    """Validate a length-``n_rows`` frontier vector."""
+def product(fmt, x, *, batched: bool, scatter: bool = False, atomic: bool = False,
+            allowed=None, out_dtype=None, need: str = "") -> Product:
+    """The numerics of one SpMV/SpMM entry point.
+
+    ``x`` must be an ``(n, B)`` matrix with ``B >= 1`` when ``batched``
+    (the ``*_spmm*`` entry points), a length-``n`` vector otherwise; a
+    gather's ``allowed`` mask has the output's shape.  A gather computes
+    ``y = A^T x`` (``y[c] += x[r]`` per stored ``(r, c)``), a ``scatter``
+    ``y = A x``; see the module docstring for ``atomic``.  ``need`` names
+    the :class:`Product` counts to compute: any of ``lanes``, ``active``,
+    ``written``.
+    """
+    n_in, n_out = (fmt.n_cols, fmt.n_rows) if scatter else (fmt.n_rows, fmt.n_cols)
     x = np.asarray(x)
-    if x.shape != (n_rows,):
-        raise ValueError(f"x must have shape ({n_rows},), got {x.shape}")
-    return x
-
-
-def check_allowed_vector(allowed, n_cols: int) -> np.ndarray:
-    """Validate a per-column boolean mask; ``None`` allows every column."""
-    if allowed is None:
-        return np.ones(n_cols, dtype=bool)
-    allowed = np.asarray(allowed)
-    if allowed.shape != (n_cols,) or allowed.dtype != bool:
-        raise ValueError(f"allowed must be a boolean mask of shape ({n_cols},)")
-    return allowed
+    if batched:
+        if x.ndim != 2 or x.shape[0] != n_in or x.shape[1] < 1:
+            raise ValueError(
+                f"frontier matrix must have shape ({n_in}, B >= 1), got {x.shape}")
+    elif x.shape != (n_in,):
+        raise ValueError(f"x must have shape ({n_in},), got {x.shape}")
+    masked = allowed is not None
+    if masked:
+        allowed = np.asarray(allowed)
+        if allowed.shape != (n_out,) + x.shape[1:] or allowed.dtype != bool:
+            raise ValueError(
+                f"allowed must be a boolean mask of shape {(n_out,) + x.shape[1:]}")
+    atomic = atomic or scatter
+    pos = x > 0 if atomic or "active" in need else None
+    if atomic:
+        inputs = np.where(pos, x, x.dtype.type(0))
+        sums = (scatter_spmm_values if scatter else gather_spmm_values)(fmt, inputs)
+    else:
+        sums = gather_spmm_values(fmt, x, allowed)
+    out_dtype = np.dtype(out_dtype or x.dtype)
+    y = cast_like_spmv(sums, out_dtype, positive_only=not atomic)
+    B = x.shape[1] if batched else 1
+    lanes = active = written = None
+    if "lanes" in need:
+        if not masked:
+            lanes = np.full(n_out, B, dtype=np.int64) if batched else np.ones(n_out, bool)
+        else:
+            lanes = lane_count(allowed) if batched else allowed
+    if "active" in need:
+        active = lane_count(pos) if batched else pos
+    if "written" in need:
+        written = int(np.count_nonzero(_row_any(sums != 0 if scatter else sums > 0)))
+    return Product(y, scatter, not batched, B, x.dtype, out_dtype, masked, lanes,
+                   active, written)
 
 
 #: Restricted products pay a fixed Python cost (masses, index lists, a
@@ -103,9 +162,15 @@ FULL_BELOW_LANE_ENTRIES = 1 << 17
 RESTRICT_MAX_SHARE = 0.5
 
 
+def _row_any(mask: np.ndarray) -> np.ndarray:
+    """The rows of a vector or ``(n, B)`` mask set in some lane, as a bool
+    vector."""
+    return mask if mask.ndim == 1 else lane_any(mask)
+
+
 def _live(mask: np.ndarray) -> np.ndarray:
     """Indices of the rows of a vector or ``(n, B)`` mask set in some lane."""
-    return np.flatnonzero(mask if mask.ndim == 1 else lane_any(mask))
+    return np.flatnonzero(_row_any(mask))
 
 
 def _mass(indptr: np.ndarray, major: np.ndarray) -> int:
@@ -190,22 +255,15 @@ def scatter_spmm_values(fmt, X: np.ndarray) -> np.ndarray:
     return scatter @ X.astype(np.float64, copy=False)
 
 
-def gather_spmv(fmt, x: np.ndarray, allowed, out_dtype) -> tuple[np.ndarray, int]:
-    """Masked gather ``y = A^T x`` of the SpMV kernels and its write count.
+def raw_cast(sums: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The platform's float64 -> ``dtype`` conversion.
 
-    ``y`` stores only the positive sums (the kernels' ``if sum > 0``);
-    the count of those stores feeds the kernels' write traffic.
+    Out-of-range float -> int conversion is undefined in C: x86 stores
+    ``INT_MIN``, aarch64 saturates.  :func:`cast_like_spmv` fixes those
+    values afterwards, so its result does not depend on this function's.
     """
-    sums = gather_spmm_values(fmt, x, allowed)
-    y = cast_like_spmv(sums, out_dtype or x.dtype, positive_only=True)
-    return y, int(np.count_nonzero(sums > 0))
-
-
-def scatter_spmv(fmt, x: np.ndarray, out_dtype) -> np.ndarray:
-    """Scatter ``y = A x`` of the SpMV kernels: only positive ``x`` entries
-    contribute, and every accumulated row is stored."""
-    sums = scatter_spmm_values(fmt, np.where(x > 0, x, x.dtype.type(0)))
-    return cast_like_spmv(sums, out_dtype or x.dtype, positive_only=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return sums.astype(dtype, copy=False)
 
 
 def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool) -> np.ndarray:
@@ -213,13 +271,24 @@ def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool) -> np.nd
 
     ``positive_only`` reproduces the gather kernels' ``sum > 0`` write
     sparsity (scatter kernels store every accumulated row) with one
-    branch-free ``where`` pass rather than a boolean-mask scatter.  Int
-    overflow is allowed to wrap -- the sigma check surfaces it.
+    branch-free ``where`` pass rather than a boolean-mask scatter.  An
+    integer dtype receives ``iinfo.min`` for NaN and for every sum whose
+    truncation toward zero it cannot hold (what x86 stores, on every
+    platform), so sigma overflow is always negative; a max (and, for
+    possibly negative sums, min) reduction keeps the in-range case to
+    one extra pass.
     """
     if positive_only:
         sums = np.where(sums > 0, sums, 0.0)
-    with np.errstate(invalid="ignore"):
-        return sums.astype(out_dtype, copy=False)
+    out_dtype = np.dtype(out_dtype)
+    y = raw_cast(sums, out_dtype)
+    if out_dtype.kind in "iu" and sums.size:
+        info = np.iinfo(out_dtype)
+        top = float(info.max) + 1  # trunc(v) fits iff info.min <= v < top
+        # NaN fails every comparison, so it takes the mapping too
+        if not (sums.max() < top and (positive_only or sums.min() >= info.min)):
+            y[~((sums >= info.min) & (sums < top))] = info.min
+    return y
 
 
 def _lane_words(mask: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE
 from repro.formats.csc import CSCMatrix
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch, KernelStats
@@ -56,6 +55,117 @@ def _lookup_txn(csc: CSCMatrix, l2_bytes: int) -> int:
     return W.capped_random_transactions(csc.nnz, csc.n_cols + 1, 4, l2_bytes=l2_bytes)
 
 
+def _gather_cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats:
+    """Hardware stats of a thread-per-entry masked gather.
+
+    The SpMV thread loads ``x`` only for an allowed column and issues an
+    atomic only for a positive value.  The SpMM thread locates its column
+    once (one lookup amortised B-fold versus B SpMV launches), reads the
+    B-wide lane mask, fetches the B-wide frontier row coalesced, and issues
+    one atomic per allowed lane into the column's B-wide row.
+    """
+    m, n = csc.nnz, csc.n_cols
+    itemsize = p.x_dtype.itemsize
+    dtype_factor = W.dtype_cycle_factor(p.x_dtype)
+    if p.vector:
+        sel = M.column_entries(csc.col_ptr, np.flatnonzero(p.lanes))
+        sel_rows = csc.row[sel]
+        dst = csc.column_of_nnz()[sel][p.active[sel_rows]]
+        work = int(dst.size)
+        x_txn = W.cached_gather_transactions(sel_rows, itemsize, csc.n_rows, l2_bytes=l2_bytes)
+        write_txn = (W.cached_gather_transactions(dst, itemsize, n, l2_bytes=l2_bytes)
+                     if work else 0)
+        serial = int(np.bincount(dst, minlength=1).max()) if work else 0
+        conflicts = W.atomic_conflict_cycles(dst)
+        requested = (2 * m + int(sel_rows.size) + 2 * work) * itemsize
+    else:
+        degrees = csc.column_counts()
+        col_select = p.lanes > 0
+        total_scanned = int(degrees[col_select].sum())
+        work = int(p.lanes @ degrees)
+        if total_scanned == m:
+            # every backward level and every unmasked forward one: a constant
+            conflicts = csc.full_atomic_conflict_cycles()
+        else:
+            # the selected columns' entries, in storage order
+            sel = M.column_entries(csc.col_ptr, np.flatnonzero(col_select))
+            conflicts = W.atomic_conflict_cycles(csc.column_of_nnz()[sel])
+        x_txn = (
+            W.coalesced_transactions(m * p.B, 1)                     # lane-mask rows
+            + W.bwide_gather_transactions(total_scanned, p.B, csc.n_rows, itemsize,
+                                          l2_bytes=l2_bytes)
+        )
+        write_txn = (W.bwide_gather_transactions(p.written, p.B, n, itemsize,
+                                                 l2_bytes=l2_bytes) if p.written else 0)
+        # Longest same-address chain: every entry of a selected column hits it.
+        serial = int(degrees[col_select].max(initial=0))
+        requested = (m + total_scanned) * 4 + (m * p.B + work) * itemsize
+    look = lookup_cycles(n)
+    # the row_A sweep and the CP_A binary search, then the frontier loads
+    read_txn = W.coalesced_transactions(m) + _lookup_txn(csc, l2_bytes) + x_txn
+    return KernelStats(
+        name=name,
+        threads=m,
+        warp_cycles=(
+            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
+            + W.warp_count(work) * _ACTIVE_CYCLES * dtype_factor
+            + conflicts * dtype_factor
+        ),
+        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
+        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=requested,
+        serial_updates=serial * dtype_factor,
+        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * p.B,  # flat per-edge work
+        flops=work,
+    )
+
+
+def _scatter_cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats:
+    """Hardware stats of a thread-per-entry scatter: each thread whose
+    column has a positive lane atomically adds it (B-wide for the SpMM)
+    into its row's output."""
+    m, n = csc.nnz, csc.n_cols
+    itemsize = p.x_dtype.itemsize
+    dtype_factor = W.dtype_cycle_factor(p.x_dtype)
+    # rows of the entries with a contributing lane, in storage order
+    rows = csc.row[M.column_entries(csc.col_ptr, np.flatnonzero(p.active))]
+    n_contrib = int(rows.size)
+    work = int(p.active @ csc.column_counts())
+    if p.vector:
+        # x gather: consecutive threads of a column read the same x word,
+        # so the access merges like a gather at the column indices themselves
+        x_txn = W.cached_gather_transactions(csc.column_of_nnz(), itemsize, n,
+                                             l2_bytes=l2_bytes)
+        write_txn = (W.cached_gather_transactions(rows, itemsize, csc.n_rows,
+                                                  l2_bytes=l2_bytes) if n_contrib else 0)
+        requested = (2 * m + 2 * n_contrib) * itemsize
+    else:
+        x_txn = W.bwide_gather_transactions(m, p.B, n, itemsize, l2_bytes=l2_bytes)
+        write_txn = (W.bwide_gather_transactions(n_contrib, p.B, csc.n_rows, itemsize,
+                                                 l2_bytes=l2_bytes) if n_contrib else 0)
+        requested = (m + n_contrib) * 4 + (m * p.B + work) * itemsize
+    # Longest same-address atomic chain: active entries per row (exact).
+    serial = int(np.bincount(rows, minlength=1).max()) if n_contrib else 0
+    look = lookup_cycles(n)
+    # the row_A sweep and the CP_A binary search, then the frontier loads
+    read_txn = W.coalesced_transactions(m) + _lookup_txn(csc, l2_bytes) + x_txn
+    return KernelStats(
+        name=name,
+        threads=m,
+        warp_cycles=(
+            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
+            + W.warp_count(work) * _ACTIVE_CYCLES * dtype_factor
+            + W.atomic_conflict_cycles(rows) * dtype_factor
+        ),
+        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
+        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=requested,
+        serial_updates=serial * dtype_factor,
+        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * p.B,
+        flops=work,
+    )
+
+
 def edgecsc_spmv(
     device: Device,
     csc: CSCMatrix,
@@ -71,54 +181,10 @@ def edgecsc_spmv(
     the hardware cost differs (flat per-edge work + CP_A lookup instead of
     a per-column scan).
     """
-    x = M.as_frontier_vector(x, csc.n_rows)
-    n = csc.n_cols
-    allowed = M.check_allowed_vector(allowed, n)
-    y, _ = M.gather_spmv(csc, x, allowed, out_dtype)
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    sel_rows = csc.row[sel]
-    vals = x[sel_rows]
-    m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = x.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
-    contrib = vals > 0
-    n_contrib = int(np.count_nonzero(contrib))
-    dst_contrib = col_of_nnz[sel][contrib]
-    read_txn = (
-        W.coalesced_transactions(m)                      # row_A sweep
-        + _lookup_txn(csc, l2)                           # CP_A binary search
-        + W.cached_gather_transactions(sel_rows, itemsize, csc.n_rows, l2_bytes=l2)
-    )
-    write_txn = (
-        W.cached_gather_transactions(dst_contrib, itemsize, n, l2_bytes=l2)
-        if n_contrib
-        else 0
-    )
-    serial = (
-        int(np.bincount(dst_contrib, minlength=1).max()) * dtype_factor
-        if n_contrib
-        else 0
-    )
-    look = lookup_cycles(n)
-    stats = KernelStats(
-        name="edgecsc_spmv",
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(n_contrib) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(dst_contrib) * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * m + int(sel_rows.size) + 2 * n_contrib) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES,  # flat per-edge work
-        flops=n_contrib,
-    )
-    return y, device.launch(stats, tag=tag)
+    p = M.product(csc, x, batched=False, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes active")
+    return p.y, device.launch(_gather_cost(csc, p, "edgecsc_spmv", device.spec.l2_bytes),
+                              tag=tag)
 
 
 def edgecsc_spmv_scatter(
@@ -134,58 +200,9 @@ def edgecsc_spmv_scatter(
     Each thread whose column value is positive atomically adds it to its
     row's ``y`` entry; used by the backward stage on digraphs.
     """
-    x = M.as_frontier_vector(x, csc.n_cols)
-    y = M.scatter_spmv(csc, x, out_dtype)
-
-    n = csc.n_cols
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    rows_sel = csc.row[active[col_of_nnz]]
-
-    m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = x.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
-    n_contrib = int(rows_sel.size)
-    # x gather: consecutive threads of a column read the same x word, so the
-    # access merges like a gather at the column indices themselves.
-    read_txn = (
-        W.coalesced_transactions(m)
-        + _lookup_txn(csc, l2)
-        + W.cached_gather_transactions(col_of_nnz, itemsize, n, l2_bytes=l2)
-    )
-    write_txn = (
-        W.cached_gather_transactions(rows_sel, itemsize, csc.n_rows, l2_bytes=l2)
-        if n_contrib
-        else 0
-    )
-    # Longest same-address atomic chain: active entries per row (exact).
-    serial = int(M.scatter_spmm_values(csc, active).max(initial=0)) * dtype_factor
-    look = lookup_cycles(n)
-    stats = KernelStats(
-        name="edgecsc_spmv_scatter",
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(n_contrib) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(rows_sel) * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * m + 2 * n_contrib) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES,
-        flops=n_contrib,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The SpMM keeps the thread-per-edge shape: each thread locates its column
-# once (one lookup amortised B-fold versus B SpMV launches), reads the
-# B-wide lane mask, fetches the B-wide frontier row coalesced, and issues
-# one atomic per contributing lane into the destination's B-wide row.
+    p = M.product(csc, x, batched=False, scatter=True, out_dtype=out_dtype, need="active")
+    return p.y, device.launch(
+        _scatter_cost(csc, p, "edgecsc_spmv_scatter", device.spec.l2_bytes), tag=tag)
 
 
 def edgecsc_spmm(
@@ -202,68 +219,10 @@ def edgecsc_spmm(
     Lane results are bit-identical to B separate :func:`edgecsc_spmv`
     calls (the same storage-order accumulation as the CSC SpMM kernels).
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    sums = M.gather_spmm_values(csc, X, allowed)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = X.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(X.dtype)
-    degrees = csc.column_counts()
-    lanes = M.lane_count(allowed)
-    col_select = lanes > 0
-    scanned = np.where(col_select, degrees, 0).astype(np.int64)
-    total_scanned = int(scanned.sum())
-    lane_entries = int((scanned * lanes).sum())
-    if col_select.all():
-        # every backward level and every unmasked forward one: a constant
-        conflicts = csc.full_atomic_conflict_cycles()
-    else:
-        # Entries of the selected columns in storage order (column-major),
-        # i.e. column_of_nnz() filtered by col_select, without an O(nnz)
-        # mask pass.
-        sel_cols = np.flatnonzero(col_select).astype(INDEX_DTYPE)
-        conflicts = W.atomic_conflict_cycles(np.repeat(sel_cols, degrees[col_select]))
-    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
-    look = lookup_cycles(n)
-    read_txn = (
-        W.coalesced_transactions(m)                                  # row_A sweep
-        + _lookup_txn(csc, l2)                                       # CP_A search
-        + W.coalesced_transactions(m * B, 1)                         # lane-mask rows
-        + W.bwide_gather_transactions(total_scanned, B, csc.n_rows, itemsize,
-                                      l2_bytes=l2)
-    )
-    write_txn = (
-        W.bwide_gather_transactions(written_cols, B, n, itemsize, l2_bytes=l2)
-        if written_cols
-        else 0
-    )
-    # Longest same-address chain: every entry of a selected column hits it.
-    serial = int(degrees[col_select].max(initial=0)) * dtype_factor
-    stats = KernelStats(
-        name="edgecsc_spmm",
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(lane_entries) * _ACTIVE_CYCLES * dtype_factor
-            + conflicts * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(m + total_scanned) * 4 + (m * B + lane_entries) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * B,
-        flops=lane_entries,
-    )
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes written")
+    return p.y, device.launch(_gather_cost(csc, p, "edgecsc_spmm", device.spec.l2_bytes),
+                              tag=tag)
 
 
 def edgecsc_spmm_scatter(
@@ -280,54 +239,6 @@ def edgecsc_spmm_scatter(
     :func:`edgecsc_spmv_scatter` calls (both accumulate each row in
     storage order).
     """
-    X = M.as_frontier_matrix(X, csc.n_cols)
-    n = csc.n_cols
-    B = X.shape[1]
-    pos = X > 0
-    Xp = np.where(pos, X, X.dtype.type(0))
-    sums = M.scatter_spmm_values(csc, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = X.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(X.dtype)
-    lanes_per_col = M.lane_count(pos)
-    lane_entries = int(lanes_per_col @ csc.column_counts())
-    # rows of the entries with a contributing lane, in storage order
-    rows_contrib = csc.row[M.column_entries(csc.col_ptr, np.flatnonzero(lanes_per_col))]
-    look = lookup_cycles(n)
-    read_txn = (
-        W.coalesced_transactions(m)
-        + _lookup_txn(csc, l2)
-        + W.bwide_gather_transactions(m, B, n, itemsize, l2_bytes=l2)
-    )
-    write_txn = (
-        W.bwide_gather_transactions(int(rows_contrib.size), B, csc.n_rows, itemsize,
-                                    l2_bytes=l2)
-        if rows_contrib.size
-        else 0
-    )
-    serial = (
-        int(np.bincount(rows_contrib, minlength=1).max()) * dtype_factor
-        if rows_contrib.size
-        else 0
-    )
-    stats = KernelStats(
-        name="edgecsc_spmm_scatter",
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(lane_entries) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(rows_contrib) * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(m + int(rows_contrib.size)) * 4
-        + (m * B + lane_entries) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * B,
-        flops=lane_entries,
-    )
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, scatter=True, out_dtype=out_dtype, need="active")
+    return p.y, device.launch(
+        _scatter_cost(csc, p, "edgecsc_spmm_scatter", device.spec.l2_bytes), tag=tag)

@@ -92,32 +92,22 @@ def first_hit_probes(
     return probe, discovered
 
 
-def _pullcsc_stats(
-    csc: CSCMatrix,
-    allowed: np.ndarray,
-    active_rows: np.ndarray,
-    x_dtype,
-    lanes: np.ndarray | None,
-    B: int,
-    write_txn: int,
-    name: str,
-    l2_bytes: int,
-    *,
-    early_exit: bool,
-) -> KernelStats:
-    """Hardware stats for a masked bottom-up (pull) pass.
+def _gather_cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats:
+    """Hardware stats of a masked bottom-up (pull) pass.
 
-    ``lanes`` is the per-column allowed-lane count for SpMM (``None`` for
-    SpMV, i.e. one lane everywhere).  ``early_exit=False`` models the
-    unmasked full product (no discovery decision exists, so every allowed
-    column scans once with no phase-1 loop).
+    The SpMM probes a B-lane bitmap (one packed word per entry covers every
+    lane) and gathers the B-wide frontier row only for entries active in at
+    least one lane.  Without a mask (``allowed=None``) no discovery decision
+    exists, so every column scans once with no phase-1 loop.
     """
-    x_itemsize = np.dtype(x_dtype).itemsize
-    dtype_factor = W.dtype_cycle_factor(x_dtype)
-    n = csc.n_cols
+    x_itemsize = p.x_dtype.itemsize
+    dtype_factor = W.dtype_cycle_factor(p.x_dtype)
+    n, B = csc.n_cols, p.B
     n_rows = csc.n_rows
+    allowed = p.lanes > 0
+    active_rows = p.active > 0
     deg = csc.column_counts().astype(np.int64)
-    if early_exit:
+    if p.masked:
         probe, discovered = first_hit_probes(csc, allowed, active_rows)
         rescan = np.where(discovered, deg, 0)
     else:
@@ -130,7 +120,6 @@ def _pullcsc_stats(
     # Active rows per column is an exact integer count in float64.
     contrib_per_col = M.gather_spmm_values(csc, active_rows, allowed).astype(np.int64)
     total_contrib = int(contrib_per_col.sum())
-    lane_width = lanes if lanes is not None else 1
 
     bitmap_words = -(-n_rows * B // 32)
     row_txn = int(np.sum((scanned + 7) // 8))
@@ -145,15 +134,16 @@ def _pullcsc_stats(
     build_txn = W.coalesced_transactions(n_rows * B, x_itemsize) + W.coalesced_transactions(
         bitmap_words
     )
-    mask_txn = W.coalesced_transactions(n * B) if lanes is not None else 0
+    mask_txn = 0 if p.vector else W.coalesced_transactions(n * B)
 
-    work = scanned * _PROBE_CYCLES + contrib_per_col * lane_width * _GATHER_CYCLES * dtype_factor
+    # a vector's lanes are 0/1 and its hits are 0 where it has none
+    work = scanned * _PROBE_CYCLES + contrib_per_col * p.lanes * _GATHER_CYCLES * dtype_factor
     warp_cycles = W.divergent_warp_cycles(
         work, base_cycles=_BASE_CYCLES
     ) + W.uniform_warp_cycles(n_rows * B, _BITMAP_BUILD_CYCLES)
     critical = W.max_warp_cycles(
         scanned * _CRITICAL_PROBE_CYCLES
-        + contrib_per_col * lane_width * _CRITICAL_GATHER_CYCLES * dtype_factor
+        + contrib_per_col * p.lanes * _CRITICAL_GATHER_CYCLES * dtype_factor
     )
     return KernelStats(
         name=name,
@@ -161,10 +151,59 @@ def _pullcsc_stats(
         warp_cycles=warp_cycles,
         dram_read_bytes=(ptr_txn + mask_txn + row_txn + probe_txn + x_txn + build_txn)
         * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
+        dram_write_bytes=p.written * p.out_row_txn * W.TRANSACTION_BYTES,
         requested_load_bytes=(2 * n + n * B + 2 * total_scanned) * 4
         + (n_rows * B + total_contrib * B) * x_itemsize,
         critical_warp_cycles=critical,
+        flops=total_contrib * B,
+    )
+
+
+def _scatter_cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats:
+    """Hardware stats of a scatter pulled through the row-major plan: one
+    thread owns each output row, probes the active-column bitmap (B lanes
+    per packed word for the SpMM) and gathers the frontier where it hits."""
+    n, B = csc.n_cols, p.B
+    row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
+    # Exact per-row hit counts: entries in a column active in any lane.
+    contrib_per_row = M.scatter_spmm_values(csc, p.active > 0).astype(np.int64)
+    total = int(row_deg.sum())
+    total_contrib = int(contrib_per_row.sum())
+    dtype_factor = W.dtype_cycle_factor(p.x_dtype)
+    item = p.x_dtype.itemsize
+    bitmap_words = -(-n * B // 32)
+    write_rows = int(np.count_nonzero(contrib_per_row))
+    if p.vector:
+        x_txn = W.scalar_gather_transactions(total_contrib, n, item, l2_bytes=l2_bytes)
+        write_txn = W.coalesced_transactions(write_rows, item)
+    else:
+        x_txn = W.bwide_gather_transactions(total_contrib, B, n, item, l2_bytes=l2_bytes)
+        write_txn = write_rows * p.out_row_txn
+    return KernelStats(
+        name=name,
+        threads=csc.n_rows,
+        warp_cycles=W.divergent_warp_cycles(
+            row_deg * _PROBE_CYCLES
+            + contrib_per_row * B * _GATHER_CYCLES * dtype_factor,
+            base_cycles=_BASE_CYCLES,
+        )
+        + W.uniform_warp_cycles(n * B, _BITMAP_BUILD_CYCLES),
+        dram_read_bytes=(
+            2 * W.coalesced_transactions(csc.n_rows)
+            + int(np.sum((row_deg + 7) // 8))
+            + W.capped_random_transactions(total, bitmap_words, 4, l2_bytes=l2_bytes)
+            + x_txn
+            + W.coalesced_transactions(n * B, item)
+            + W.coalesced_transactions(bitmap_words)
+        )
+        * W.TRANSACTION_BYTES,
+        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=(2 * csc.n_rows + 2 * total) * 4
+        + (n * B + total_contrib * B) * item,
+        critical_warp_cycles=W.max_warp_cycles(
+            row_deg * _CRITICAL_PROBE_CYCLES
+            + contrib_per_row * B * _CRITICAL_GATHER_CYCLES * dtype_factor
+        ),
         flops=total_contrib * B,
     )
 
@@ -186,16 +225,10 @@ def pullcsc_spmv(
     product -- still a pull win: bitmap probes instead of scattered loads
     for the zero-heavy dependency vector).
     """
-    x = M.as_frontier_vector(x, csc.n_rows)
-    early_exit = allowed is not None
-    allowed = M.check_allowed_vector(allowed, csc.n_cols)
-    y, n_written = M.gather_spmv(csc, x, allowed, out_dtype)
-
-    stats = _pullcsc_stats(
-        csc, allowed, x > 0, x.dtype, None, 1, n_written, "pullcsc_spmv",
-        device.spec.l2_bytes, early_exit=early_exit,
-    )
-    return y, device.launch(stats, tag=tag)
+    p = M.product(csc, x, batched=False, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes active written")
+    return p.y, device.launch(_gather_cost(csc, p, "pullcsc_spmv", device.spec.l2_bytes),
+                              tag=tag)
 
 
 def pullcsc_spmv_scatter(
@@ -216,57 +249,9 @@ def pullcsc_spmv_scatter(
     on hub rows.  Results are bit-identical to :func:`sccsc_spmv_scatter`
     (same storage-order accumulation).
     """
-    x = M.as_frontier_vector(x, csc.n_cols)
-    y = M.scatter_spmv(csc, x, out_dtype)
-
-    row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
-    # Bitmap hits per row: active entries, an exact integer count in float64.
-    contrib_per_row = M.scatter_spmm_values(csc, x > 0).astype(np.int64)
-    n_contrib = int(contrib_per_row.sum())
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
-    item = x.dtype.itemsize
-    l2 = device.spec.l2_bytes
-    bitmap_words = -(-csc.n_cols // 32)
-    total = int(row_deg.sum())
-    stats = KernelStats(
-        name="pullcsc_spmv_scatter",
-        threads=csc.n_rows,
-        warp_cycles=W.divergent_warp_cycles(
-            row_deg * _PROBE_CYCLES + contrib_per_row * _GATHER_CYCLES * dtype_factor,
-            base_cycles=_BASE_CYCLES,
-        )
-        + W.uniform_warp_cycles(csc.n_cols, _BITMAP_BUILD_CYCLES),
-        dram_read_bytes=(
-            2 * W.coalesced_transactions(csc.n_rows)
-            + int(np.sum((row_deg + 7) // 8))
-            + W.capped_random_transactions(total, bitmap_words, 4, l2_bytes=l2)
-            + W.scalar_gather_transactions(n_contrib, csc.n_cols, item,
-                                           l2_bytes=l2)
-            + W.coalesced_transactions(csc.n_cols, item)
-            + W.coalesced_transactions(bitmap_words)
-        )
-        * W.TRANSACTION_BYTES,
-        dram_write_bytes=W.coalesced_transactions(
-            int(np.count_nonzero(contrib_per_row)), item
-        )
-        * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * csc.n_rows + 2 * total) * 4
-        + (csc.n_cols + n_contrib) * item,
-        critical_warp_cycles=W.max_warp_cycles(
-            row_deg * _CRITICAL_PROBE_CYCLES
-            + contrib_per_row * _CRITICAL_GATHER_CYCLES * dtype_factor
-        ),
-        flops=n_contrib,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The batched pull kernel probes a B-lane bitmap (one packed word per entry
-# covers every lane at once) and gathers the B-wide frontier row only for
-# entries active in at least one lane -- the same coalescing win as the
-# push SpMM, on top of pull's gather savings.
+    p = M.product(csc, x, batched=False, scatter=True, out_dtype=out_dtype, need="active")
+    return p.y, device.launch(
+        _scatter_cost(csc, p, "pullcsc_spmv_scatter", device.spec.l2_bytes), tag=tag)
 
 
 def pullcsc_spmm(
@@ -285,27 +270,10 @@ def pullcsc_spmm(
     phase 2's masked accumulation).  Lane results are bit-identical to B
     separate :func:`pullcsc_spmv` calls.
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    early_exit = allowed is not None
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    sums = M.gather_spmm_values(csc, X, allowed)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
-    write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    lanes = M.lane_count(allowed)
-    col_select = lanes > 0
-    stats = _pullcsc_stats(
-        csc, col_select, M.lane_any(X > 0), X.dtype, lanes, B, write_txn,
-        "pullcsc_spmm", device.spec.l2_bytes, early_exit=early_exit,
-    )
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes active written")
+    return p.y, device.launch(_gather_cost(csc, p, "pullcsc_spmm", device.spec.l2_bytes),
+                              tag=tag)
 
 
 def pullcsc_spmm_scatter(
@@ -322,52 +290,6 @@ def pullcsc_spmm_scatter(
     masked accumulation: no atomics (each row has one owner), bit-identical
     to B separate :func:`pullcsc_spmv_scatter` calls.
     """
-    X = M.as_frontier_matrix(X, csc.n_cols)
-    n = csc.n_cols
-    B = X.shape[1]
-    pos = X > 0
-    Xp = np.where(pos, X, X.dtype.type(0))
-    sums = M.scatter_spmm_values(csc, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    row_deg = np.diff(csc.scatter_plan()[0]).astype(np.int64)
-    # Exact per-row hit counts: entries in a column active in any lane.
-    contrib_per_row = M.scatter_spmm_values(csc, M.lane_any(pos)).astype(np.int64)
-    total = int(row_deg.sum())
-    total_contrib = int(contrib_per_row.sum())
-    dtype_factor = W.dtype_cycle_factor(X.dtype)
-    item = X.dtype.itemsize
-    l2 = device.spec.l2_bytes
-    bitmap_words = -(-n * B // 32)
-    write_rows = int(np.count_nonzero(contrib_per_row))
-    stats = KernelStats(
-        name="pullcsc_spmm_scatter",
-        threads=csc.n_rows,
-        warp_cycles=W.divergent_warp_cycles(
-            row_deg * _PROBE_CYCLES
-            + contrib_per_row * B * _GATHER_CYCLES * dtype_factor,
-            base_cycles=_BASE_CYCLES,
-        )
-        + W.uniform_warp_cycles(n * B, _BITMAP_BUILD_CYCLES),
-        dram_read_bytes=(
-            2 * W.coalesced_transactions(csc.n_rows)
-            + int(np.sum((row_deg + 7) // 8))
-            + W.capped_random_transactions(total, bitmap_words, 4, l2_bytes=l2)
-            + W.bwide_gather_transactions(total_contrib, B, n, item, l2_bytes=l2)
-            + W.coalesced_transactions(n * B, item)
-            + W.coalesced_transactions(bitmap_words)
-        )
-        * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_rows
-        * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-        * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * csc.n_rows + 2 * total) * 4
-        + (n * B + total_contrib * B) * item,
-        critical_warp_cycles=W.max_warp_cycles(
-            row_deg * _CRITICAL_PROBE_CYCLES
-            + contrib_per_row * B * _CRITICAL_GATHER_CYCLES * dtype_factor
-        ),
-        flops=total_contrib * B,
-    )
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, scatter=True, out_dtype=out_dtype, need="active")
+    return p.y, device.launch(
+        _scatter_cost(csc, p, "pullcsc_spmm_scatter", device.spec.l2_bytes), tag=tag)

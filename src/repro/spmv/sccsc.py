@@ -39,41 +39,74 @@ _CYCLES_PER_ENTRY = 3
 _CRITICAL_CYCLES_PER_ENTRY = 12
 
 
-def _sccsc_stats(
-    csc: CSCMatrix,
-    allowed: np.ndarray,
-    x_dtype,
-    n_written: int,
-    name: str,
-    l2_bytes: int,
-) -> KernelStats:
-    """Hardware stats for a masked thread-per-column pass."""
-    x_itemsize = np.dtype(x_dtype).itemsize
-    dtype_factor = W.dtype_cycle_factor(x_dtype)
-    n = csc.n_cols
-    degrees = csc.column_counts().astype(np.int64)
-    scanned = np.where(allowed, degrees, 0)
+def _cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats:
+    """Hardware stats of a thread-per-column pass.
+
+    A gather scans the columns with an allowed lane, a scatter the columns
+    with a positive lane, atomically adding each entry; other columns cost
+    one compare.  The SpMV loads one uncoalesced ``x`` word per scanned
+    entry.  The SpMM scans a column once for the whole batch: per entry one
+    row index (amortised B-fold versus B SpMV launches) and one B-word row
+    of the row-major frontier matrix (coalesced into ``ceil(B*itemsize/32)``
+    transactions, versus B scattered words), accumulating B partial sums.
+    """
+    lanes = p.active if p.scatter else p.lanes
+    x_itemsize = p.x_dtype.itemsize
+    dtype_factor = W.dtype_cycle_factor(p.x_dtype)
+    n, B = csc.n_cols, p.B
+    scanned = np.where(lanes, csc.column_counts(), 0).astype(np.int64)
     total_scanned = int(scanned.sum())
-    # Per-lane sequential scans: ~ceil(deg / 8) L1-line fills for row_A, one
-    # 32 B transaction per x entry (uncoalesced gather).
+    lane_entries = int((scanned * lanes).sum())
+    x_words, serial = lane_entries, 0
+    if p.vector:
+        mask_words = 0
+        if p.scatter:
+            x_txn = W.capped_random_transactions(total_scanned, n, x_itemsize,
+                                                 l2_bytes=l2_bytes)
+            # Per-lane serial atomic stores, thrashing-bounded like the gathers.
+            write_txn = W.scalar_gather_transactions(total_scanned, csc.n_rows, 4,
+                                                     l2_bytes=l2_bytes)
+            work = scanned * (_CYCLES_PER_ENTRY + 2)
+            critical = scanned * _CRITICAL_CYCLES_PER_ENTRY
+            x_words = int(np.count_nonzero(lanes))
+            # Longest same-address atomic chain: active entries per row (exact).
+            serial = int(M.scatter_spmm_values(csc, lanes).max(initial=0))
+        else:
+            # one 32 B transaction per x entry (uncoalesced gather)
+            x_txn = W.scalar_gather_transactions(total_scanned, csc.n_rows, x_itemsize,
+                                                 l2_bytes=l2_bytes)
+            write_txn = p.written  # scattered single-word stores
+            work = scanned * (_CYCLES_PER_ENTRY * dtype_factor)
+            critical = scanned * (_CRITICAL_CYCLES_PER_ENTRY * dtype_factor)
+    else:
+        mask_words = n * B
+        x_txn = W.bwide_gather_transactions(total_scanned, B, csc.n_rows, x_itemsize,
+                                            l2_bytes=l2_bytes)
+        work = scanned * (2 + p.scatter) + scanned * lanes * dtype_factor
+        critical = scanned * (_CRITICAL_CYCLES_PER_ENTRY + lanes * dtype_factor)
+        if p.scatter:
+            write_txn = W.bwide_gather_transactions(
+                total_scanned, B, csc.n_rows, p.out_dtype.itemsize, l2_bytes=l2_bytes)
+            # Longest same-address atomic chain: a row's entries can all
+            # target one (row, lane) slot, so the row multiplicity bounds it.
+            row_ptr, _ = csc.scatter_plan()
+            serial = int(np.diff(row_ptr).max()) if csc.nnz else 0
+        else:
+            write_txn = p.written * p.out_row_txn
+    # Per-lane sequential scans: ~ceil(deg / 8) L1-line fills for row_A.
     row_txn = int(np.sum((scanned + 7) // 8))
-    x_txn = W.scalar_gather_transactions(total_scanned, csc.n_rows, x_itemsize,
-                                         l2_bytes=l2_bytes)
     ptr_txn = 2 * W.coalesced_transactions(n)
-    write_txn = n_written  # scattered single-word stores
+    mask_txn = W.coalesced_transactions(mask_words)
     return KernelStats(
         name=name,
         threads=n,
-        warp_cycles=W.divergent_warp_cycles(
-            scanned * _CYCLES_PER_ENTRY * dtype_factor, base_cycles=_BASE_CYCLES
-        ),
-        dram_read_bytes=(ptr_txn + row_txn + x_txn) * W.TRANSACTION_BYTES,
+        warp_cycles=W.divergent_warp_cycles(work, base_cycles=_BASE_CYCLES),
+        dram_read_bytes=(ptr_txn + mask_txn + row_txn + x_txn) * W.TRANSACTION_BYTES,
         dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total_scanned) * 4 + total_scanned * x_itemsize,
-        critical_warp_cycles=W.max_warp_cycles(
-            scanned, cycles_per_unit=_CRITICAL_CYCLES_PER_ENTRY * dtype_factor
-        ),
-        flops=total_scanned,
+        requested_load_bytes=(2 * n + mask_words + total_scanned) * 4 + x_words * x_itemsize,
+        serial_updates=serial,
+        critical_warp_cycles=W.max_warp_cycles(critical),
+        flops=lane_entries,
     )
 
 
@@ -92,12 +125,9 @@ def sccsc_spmv(
     ``sigma == 0``); ``None`` processes every column (the unmasked SpMV of
     the backward stage on undirected graphs).
     """
-    x = M.as_frontier_vector(x, csc.n_rows)
-    allowed = M.check_allowed_vector(allowed, csc.n_cols)
-    y, n_written = M.gather_spmv(csc, x, allowed, out_dtype)
-    stats = _sccsc_stats(csc, allowed, x.dtype, n_written, "sccsc_spmv",
-                         device.spec.l2_bytes)
-    return y, device.launch(stats, tag=tag)
+    p = M.product(csc, x, batched=False, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes written")
+    return p.y, device.launch(_cost(csc, p, "sccsc_spmv", device.spec.l2_bytes), tag=tag)
 
 
 def sccsc_spmv_scatter(
@@ -115,100 +145,9 @@ def sccsc_spmv_scatter(
     digraphs.  The sparsity of ``x`` is exploited: masked columns cost one
     compare.
     """
-    x = M.as_frontier_vector(x, csc.n_cols)
-    y = M.scatter_spmv(csc, x, out_dtype)
-
-    n = csc.n_cols
-    active = x > 0
-    degrees = csc.column_counts().astype(np.int64)
-    scanned = np.where(active, degrees, 0)
-    total = int(scanned.sum())
-    row_txn = int(np.sum((scanned + 7) // 8))
-    # Per-lane serial atomic stores, thrashing-bounded like the gathers.
-    write_txn = W.scalar_gather_transactions(total, csc.n_rows, 4,
-                                             l2_bytes=device.spec.l2_bytes)
-    # Longest same-address atomic chain: active entries per row (exact).
-    serial = int(M.scatter_spmm_values(csc, active).max(initial=0))
-    stats = KernelStats(
-        name="sccsc_spmv_scatter",
-        threads=n,
-        warp_cycles=W.divergent_warp_cycles(
-            scanned * (_CYCLES_PER_ENTRY + 2), base_cycles=_BASE_CYCLES
-        ),
-        dram_read_bytes=(
-            2 * W.coalesced_transactions(n)
-            + row_txn
-            + W.capped_random_transactions(total, csc.n_cols, x.dtype.itemsize,
-                                           l2_bytes=device.spec.l2_bytes)
-        )
-        * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total) * 4 + int(np.count_nonzero(active)) * x.dtype.itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=W.max_warp_cycles(
-            scanned, cycles_per_unit=_CRITICAL_CYCLES_PER_ENTRY
-        ),
-        flops=total,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The SpMM kernel is the same thread-per-column loop, but each thread scans
-# its column once for a whole batch of B frontiers: per entry it loads one
-# row index (amortised B-fold versus B SpMV launches) and one B-word row of
-# the row-major frontier matrix (coalesced into ceil(B*itemsize/32)
-# transactions, versus B scattered words), accumulating B partial sums.
-
-
-def _sccsc_spmm_stats(
-    csc: CSCMatrix,
-    lanes: np.ndarray,
-    B: int,
-    x_dtype,
-    write_txn: int,
-    name: str,
-    l2_bytes: int,
-    *,
-    serial_updates: int = 0,
-    atomic: bool = False,
-) -> KernelStats:
-    """Hardware stats for a thread-per-column SpMM pass.
-
-    ``lanes[c]`` is the number of batch lanes column ``c`` is processed for;
-    columns with ``lanes == 0`` cost one B-wide mask compare only.  The
-    ``atomic`` flavour (scatter) pays an extra store per lane-entry.
-    """
-    x_itemsize = np.dtype(x_dtype).itemsize
-    dtype_factor = W.dtype_cycle_factor(x_dtype)
-    n = csc.n_cols
-    degrees = csc.column_counts()
-    scanned = np.where(lanes > 0, degrees, 0).astype(np.int64)
-    total_scanned = int(scanned.sum())
-    lane_entries = int((scanned * lanes).sum())
-    per_entry = 2 + (1 if atomic else 0)
-    row_txn = int(np.sum((scanned + 7) // 8))
-    x_txn = W.bwide_gather_transactions(
-        total_scanned, B, csc.n_rows, x_itemsize, l2_bytes=l2_bytes
-    )
-    ptr_txn = 2 * W.coalesced_transactions(n)
-    mask_txn = W.coalesced_transactions(n * B)
-    work = scanned * per_entry + scanned * lanes * dtype_factor
-    return KernelStats(
-        name=name,
-        threads=n,
-        warp_cycles=W.divergent_warp_cycles(work, base_cycles=_BASE_CYCLES),
-        dram_read_bytes=(ptr_txn + mask_txn + row_txn + x_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + n * B + total_scanned) * 4
-        + lane_entries * x_itemsize,
-        serial_updates=serial_updates,
-        critical_warp_cycles=W.max_warp_cycles(
-            scanned * (_CRITICAL_CYCLES_PER_ENTRY + lanes * dtype_factor)
-        ),
-        flops=lane_entries,
-    )
+    p = M.product(csc, x, batched=False, scatter=True, out_dtype=out_dtype, need="active")
+    return p.y, device.launch(_cost(csc, p, "sccsc_spmv_scatter", device.spec.l2_bytes),
+                              tag=tag)
 
 
 def sccsc_spmm(
@@ -228,23 +167,9 @@ def sccsc_spmm(
     if *any* lane allows it; lane results are bit-identical to B separate
     :func:`sccsc_spmv` calls.
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    sums = M.gather_spmm_values(csc, X, allowed)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
-    write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    lanes = M.lane_count(allowed)
-    stats = _sccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn, "sccsc_spmm",
-                              device.spec.l2_bytes)
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes written")
+    return p.y, device.launch(_cost(csc, p, "sccsc_spmm", device.spec.l2_bytes), tag=tag)
 
 
 def sccsc_spmm_scatter(
@@ -262,26 +187,6 @@ def sccsc_spmm_scatter(
     to B separate :func:`sccsc_spmv_scatter` calls (both accumulate each row
     in storage order).
     """
-    X = M.as_frontier_matrix(X, csc.n_cols)
-    B = X.shape[1]
-    pos = X > 0
-    Xp = np.where(pos, X, X.dtype.type(0))
-    sums = M.scatter_spmm_values(csc, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    lanes = M.lane_count(pos)
-    degrees = csc.column_counts()
-    total_scanned = int(np.where(lanes > 0, degrees, 0).sum())
-    write_txn = W.bwide_gather_transactions(
-        total_scanned, B, csc.n_rows, np.dtype(out_dtype).itemsize,
-        l2_bytes=device.spec.l2_bytes,
-    )
-    # Longest same-address atomic chain: a row's entries can all target one
-    # (row, lane) slot, so the cached row multiplicity bounds it.
-    row_ptr, _ = csc.scatter_plan()
-    serial = int(np.diff(row_ptr).max()) if csc.nnz else 0
-    stats = _sccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn,
-                              "sccsc_spmm_scatter", device.spec.l2_bytes,
-                              serial_updates=serial, atomic=True)
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, scatter=True, out_dtype=out_dtype, need="active")
+    return p.y, device.launch(_cost(csc, p, "sccsc_spmm_scatter", device.spec.l2_bytes),
+                              tag=tag)

@@ -244,15 +244,29 @@ def _tc_stats(
     ]
 
 
-def _entry_tc_stats(csc, row_stripe_ok, col_stripe_ok, B, x_dtype, write_txn, n_flops,
-                    name, l2_bytes, *, chain_axis, masked) -> KernelStats:
-    """:func:`_tc_stats` of one launch from its two stripe bitmaps."""
+def _cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats:
+    """:func:`_tc_stats` of one launch.
+
+    A gather's active tiles have a row stripe with an active row and a
+    column stripe with an allowed lane, and commit along column stripes; a
+    scatter's tiles with an active column stripe multiply un-transposed,
+    committing into row stripes.
+    """
+    if p.scatter:
+        row_ok = np.ones(-(-csc.n_rows // W.MMA_TILE), dtype=bool)
+        col_ok = stripe_any(p.active)
+        n_flops = int(p.active @ csc.column_counts())
+    else:
+        active_rows = p.active > 0
+        row_ok, col_ok = stripe_any(active_rows), stripe_any(p.lanes)
+        # allowed lanes x active rows per column: an exact integer in float64
+        n_flops = int(p.lanes @ M.gather_spmm_values(csc, active_rows, p.lanes > 0))
     n_active, nnz_active, max_tile, chain_col, chain_row = active_tile_stats(
-        csc, row_stripe_ok, col_stripe_ok
+        csc, row_ok, col_ok
     )
-    chain = chain_col if chain_axis == "col" else chain_row
-    return _tc_stats(csc, (n_active, nnz_active, max_tile, chain), B, x_dtype,
-                     write_txn, n_flops, name, l2_bytes, masked=masked)[0]
+    tiles = (n_active, nnz_active, max_tile, chain_row if p.scatter else chain_col)
+    return _tc_stats(csc, tiles, p.B, p.x_dtype, p.written * p.out_row_txn, n_flops,
+                     name, l2_bytes, masked=p.masked)[0]
 
 
 def tcspmm_spmv(
@@ -271,20 +285,9 @@ def tcspmm_spmv(
     sparse-frontier traversals only a handful of tiles are active per level,
     so the dispatcher picks it for nearly every per-source launch there.
     """
-    x = M.as_frontier_vector(x, csc.n_rows)
-    masked = allowed is not None
-    allowed = M.check_allowed_vector(allowed, csc.n_cols)
-    y, n_written = M.gather_spmv(csc, x, allowed, out_dtype)
-
-    active_rows = x > 0
-    # allowed entries with an active row: an exact integer in float64
-    n_flops = int(M.gather_spmm_values(csc, active_rows, allowed).sum())
-    stats = _entry_tc_stats(
-        csc, stripe_any(active_rows), stripe_any(allowed), 1, x.dtype,
-        n_written, n_flops, "tcspmm_spmv", device.spec.l2_bytes,
-        chain_axis="col", masked=masked,
-    )
-    return y, device.launch(stats, tag=tag)
+    p = M.product(csc, x, batched=False, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes active written")
+    return p.y, device.launch(_cost(csc, p, "tcspmm_spmv", device.spec.l2_bytes), tag=tag)
 
 
 def tcspmm_spmv_scatter(
@@ -297,19 +300,10 @@ def tcspmm_spmv_scatter(
 ) -> tuple[np.ndarray, KernelLaunch]:
     """Scatter product ``y = A x`` on the blocked path: tiles with an active
     column stripe multiply un-transposed, committing into row stripes."""
-    x = M.as_frontier_vector(x, csc.n_cols)
-    y = M.scatter_spmv(csc, x, out_dtype)
-
-    active = x > 0
-    n_tile_rows = -(-csc.n_rows // W.MMA_TILE)
-    stats = _entry_tc_stats(
-        csc, np.ones(n_tile_rows, dtype=bool), stripe_any(active), 1, x.dtype,
-        int(np.count_nonzero(y != 0)),
-        int(csc.column_counts()[active].sum(dtype=np.int64)),
-        "tcspmm_spmv_scatter", device.spec.l2_bytes, chain_axis="row",
-        masked=False,
-    )
-    return y, device.launch(stats, tag=tag)
+    p = M.product(csc, x, batched=False, scatter=True, out_dtype=out_dtype,
+                  need="active written")
+    return p.y, device.launch(_cost(csc, p, "tcspmm_spmv_scatter", device.spec.l2_bytes),
+                              tag=tag)
 
 
 def tcspmm_spmm(
@@ -328,31 +322,9 @@ def tcspmm_spmm(
     dense ops.  Lane results are bit-identical to B separate
     :func:`tcspmm_spmv` calls.
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    masked = allowed is not None
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    sums = M.gather_spmm_values(csc, X, allowed)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    written_cols = int(np.count_nonzero(M.lane_any(sums > 0)))
-    write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    active_rows = M.lane_any(X > 0)
-    lanes = M.lane_count(allowed)
-    col_select = lanes > 0
-    # allowed lanes x active rows per column: an exact integer in float64
-    n_flops = int(lanes @ M.gather_spmm_values(csc, active_rows, col_select))
-    stats = _entry_tc_stats(
-        csc, stripe_any(active_rows), stripe_any(col_select), B, X.dtype,
-        write_txn, n_flops, "tcspmm_spmm", device.spec.l2_bytes,
-        chain_axis="col", masked=masked,
-    )
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, allowed=allowed, out_dtype=out_dtype,
+                  need="lanes active written")
+    return p.y, device.launch(_cost(csc, p, "tcspmm_spmm", device.spec.l2_bytes), tag=tag)
 
 
 def tcspmm_spmm_scatter(
@@ -365,23 +337,7 @@ def tcspmm_spmm_scatter(
 ) -> tuple[np.ndarray, KernelLaunch]:
     """Batched scatter product ``Y = A X`` on the blocked path; lane results
     bit-identical to B separate :func:`tcspmm_spmv_scatter` calls."""
-    X = M.as_frontier_matrix(X, csc.n_cols)
-    B = X.shape[1]
-    pos = X > 0
-    Xp = np.where(pos, X, X.dtype.type(0))
-    sums = M.scatter_spmm_values(csc, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    lanes = M.lane_count(pos)
-    active_cols = lanes > 0
-    n_flops = int(lanes @ csc.column_counts())
-    written_rows = int(np.count_nonzero(M.lane_any(sums != 0)))
-    write_txn = written_rows * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    n_tile_rows = -(-csc.n_rows // W.MMA_TILE)
-    stats = _entry_tc_stats(
-        csc, np.ones(n_tile_rows, dtype=bool), stripe_any(active_cols), B,
-        X.dtype, write_txn, n_flops, "tcspmm_spmm_scatter",
-        device.spec.l2_bytes, chain_axis="row", masked=False,
-    )
-    return Y, device.launch(stats, tag=tag)
+    p = M.product(csc, X, batched=True, scatter=True, out_dtype=out_dtype,
+                  need="active written")
+    return p.y, device.launch(_cost(csc, p, "tcspmm_spmm_scatter", device.spec.l2_bytes),
+                              tag=tag)

@@ -25,7 +25,8 @@ from repro.obs.roofline import (
     roofline_for_launch,
     roofline_report,
 )
-from repro.spmv.sccsc import _sccsc_stats, sccsc_spmv
+from repro.spmv import _spmm as M
+from repro.spmv.sccsc import _cost as sccsc_cost, sccsc_spmv
 from tests.conftest import random_graph
 
 
@@ -47,8 +48,8 @@ class TestCounters:
         x[0] = 1
         allowed = np.ones(g.n, dtype=bool)
         y, launch = sccsc_spmv(dev, csc, x, allowed=allowed)
-        expected = _sccsc_stats(
-            csc, allowed, np.int32, int(np.count_nonzero(y)),
+        expected = sccsc_cost(
+            csc, M.product(csc, x, batched=False, allowed=allowed, need="lanes written"),
             "sccsc_spmv", dev.spec.l2_bytes,
         )
         c = counters_for_launch(launch, dev.spec)

@@ -397,6 +397,32 @@ def test_only_the_engine_sums_with_bincount_weights():
     assert not offenders, offenders
 
 
+def test_entry_points_are_numerics_cost_launch():
+    """Every one of the 24 entry points is three calls: the shared numerics
+    step, its kernel's cost function, ``device.launch``; no kernel module
+    validates, multiplies for ``y`` or casts on its own."""
+    import ast
+    import inspect
+
+    import repro.spmv as S
+
+    for kernel in ("sccooc", "sccsc", "veccsc", "edgecsc", "pullcsc", "tcspmm"):
+        module = getattr(S, kernel)
+        source = inspect.getsource(module)
+        for name in ("cast_like_spmv", "raw_cast", "astype(out_dtype"):
+            assert name not in source, (kernel, name)
+        for suffix in ("spmv", "spmv_scatter", "spmm", "spmm_scatter"):
+            fn = getattr(module, f"{kernel}_{suffix}")
+            body = ast.parse(inspect.getsource(fn)).body[0].body[1:]  # skip docstring
+            assert len(body) == 2, fn.__name__
+            step, ret = body
+            assert ast.unparse(step.value.func) == "M.product", fn.__name__
+            assert isinstance(ret, ast.Return), fn.__name__
+            launch = ret.value.elts[1]
+            assert ast.unparse(launch.func) == "device.launch", fn.__name__
+            assert ast.unparse(launch.args[0].func).startswith("_"), fn.__name__
+
+
 class TestLaneReductions:
     """``lane_any``/``lane_count`` read an ``(n, B)`` bool mask as words and
     must equal the short-axis ``any``/``sum`` they replace."""
@@ -428,24 +454,74 @@ class TestLaneReductions:
             np.testing.assert_array_equal(count, mask.sum(axis=1))
             np.testing.assert_array_equal(mask, before)   # input untouched
 
-    @pytest.mark.parametrize("out_dtype", (np.int32, np.float32, np.float64))
+    @pytest.mark.parametrize("out_dtype", (np.int32, np.int64, np.float32, np.float64))
     @pytest.mark.parametrize("positive_only", (True, False))
     def test_cast_matches_masked_assignment(self, out_dtype, positive_only):
+        """The explicit rule: a float dtype takes the rounded value; an
+        integer dtype the truncation where it fits, ``iinfo.min`` for NaN
+        and for every value whose truncation does not fit."""
         from repro.spmv._spmm import cast_like_spmv
 
         rng = np.random.default_rng(3)
         sums = rng.standard_normal((50, 9)) * 1e3
-        sums.flat[:8] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 2.0**31, 4.83e9, -3e9]
+        sums.flat[:14] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 2.0**31, 4.83e9, -3e9,
+                          1e300, 2.0**31 - 0.5, -(2.0**31) - 0.5, 2.0**63, -(2.0**63),
+                          2.0**62]
         want = np.zeros(sums.shape, dtype=out_dtype)
-        with np.errstate(invalid="ignore"):
-            if positive_only:
-                w = sums > 0
-                want[w] = sums[w].astype(out_dtype)
-            else:
-                want[...] = sums.astype(out_dtype)
+        keep = sums > 0 if positive_only else np.ones(sums.shape, dtype=bool)
+        if np.dtype(out_dtype).kind == "i":
+            info = np.iinfo(out_dtype)
+            # -2^(bits-1) <= trunc(v) < 2^(bits-1), exact in float64
+            t = np.trunc(sums)
+            fits = (t >= -(2.0 ** (info.bits - 1))) & (t < 2.0 ** (info.bits - 1))
+            want[keep & fits] = t[keep & fits]
+            want[keep & ~fits] = info.min
+        else:
+            with np.errstate(over="ignore"):
+                want[keep] = sums[keep]
         got = cast_like_spmv(sums, out_dtype, positive_only=positive_only)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _saturating_cast(sums, dtype):
+    """An aarch64-style conversion: out-of-range values clamp, NaN -> 0."""
+    if np.dtype(dtype).kind != "i":
+        return sums.astype(dtype)
+    info = np.iinfo(dtype)
+    return np.nan_to_num(np.clip(sums, info.min, info.max), nan=0.0).astype(dtype)
+
+
+class TestPlatformIndependentOverflow:
+    """int32 sigma overflow must show as ``sigma < 0`` whatever the platform's
+    float -> int conversion does with out-of-range values."""
+
+    def test_saturating_platform_cast_is_mapped(self, monkeypatch):
+        from repro.spmv import _spmm as M
+
+        monkeypatch.setattr(M, "raw_cast", _saturating_cast)
+        sums = np.array([3e9, 2.0**31, np.nan, np.inf, 5.0, 2.0**31 - 1])
+        got = M.cast_like_spmv(sums, np.int32, positive_only=True)
+        int_min = np.iinfo(np.int32).min
+        np.testing.assert_array_equal(got, [int_min, int_min, 0, int_min, 5, 2**31 - 1])
+
+    @pytest.mark.parametrize("batch", (1, 3))
+    def test_diamonds_still_overflow_and_rerun(self, monkeypatch, batch):
+        from repro import turbo_bc
+        from repro.obs import telemetry as obs
+        from repro.spmv import _spmm as M
+        from tests.test_modeled_snapshot import GRAPHS
+
+        graph = GRAPHS["diamonds"]()
+        sources = [0, 3, 60, 121]
+        want = turbo_bc(graph, sources=sources, algorithm="sccsc", batch_size=batch)
+        monkeypatch.setattr(M, "raw_cast", _saturating_cast)
+        with obs.session(trace=False) as tel:
+            got = turbo_bc(graph, sources=sources, algorithm="sccsc", batch_size=batch)
+        assert tel.metrics.counter("sigma_overflow_reruns").value > 0
+        if batch > 1:
+            assert got.stats.rerun_sources
+        assert got.bc.tobytes() == want.bc.tobytes()
 
 
 def test_no_short_axis_lane_reductions_in_kernels_or_dispatch():
