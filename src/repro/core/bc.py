@@ -443,42 +443,16 @@ def _turbo_bc_impl(
             backward_dtype=backward_dtype,
             direction=direction,
         )
-        bc_accum = ctx.bc_arr.data  # float32 device vector
         depths: list[int] = []
         last_forward = None
         if capture is not None:
             capture.begin(forward_dtype)
-        scale = 0.5 if not graph.directed else 1.0
         try:
             for s in src_list:
-                with obs.span("source", source=s):
-                    fwd = bfs_forward(ctx, s)
-                    depths.append(fwd.depth)
-                    if keep_forward:
-                        last_forward = BFSResult(
-                            source=s,
-                            sigma=fwd.sigma.copy(),
-                            levels=fwd.levels.copy(),
-                            depth=fwd.depth,
-                            frontier_sizes=list(fwd.frontier_sizes),
-                        )
-                    delta = None
-                    if fwd.depth > 1:
-                        delta = accumulate_dependencies(ctx, fwd)
-                        FK.bc_update_kernel(
-                            device, bc_accum, delta, s, undirected=not graph.directed,
-                            tag=f"s={s}",
-                        )
-                    if capture is not None:
-                        # `scale * delta` is bitwise the addend the fold
-                        # kernel just accumulated; copied before the arena
-                        # slots are released below.
-                        capture.record(
-                            s, fwd.levels, fwd.sigma,
-                            None if delta is None else scale * delta,
-                            fwd.depth,
-                        )
-                    ctx.release_source()
+                depth, kept = _bc_source(ctx, s, capture=capture, keep=keep_forward,
+                                         tag=f"s={s}")
+                depths.append(depth)
+                last_forward = kept
             bc = ctx.close().astype(np.float64)
         except BaseException:
             ctx.abort()
@@ -504,6 +478,45 @@ def _turbo_bc_impl(
             backward_dtype, src_list, stats, device, launches_before,
         )
     return BCResult(bc=bc, stats=stats, forward=last_forward, telemetry=tel)
+
+
+def _bc_source(ctx: TurboBCContext, s: int, *, capture, keep: bool, tag: str,
+               overflowed: bool = False) -> tuple[int, BFSResult | None]:
+    """One source of a sequential pass: forward, backward, the ``bc`` fold
+    and the capture record, in a ``source`` span; releases the source's
+    arena slots.  Returns the BFS depth and, when ``keep``, a copy of the
+    forward result."""
+    graph = ctx.graph
+    with obs.span("source", source=s):
+        fwd = bfs_forward(ctx, s)
+        kept = None
+        if keep:
+            kept = BFSResult(
+                source=s,
+                sigma=fwd.sigma.copy(),
+                levels=fwd.levels.copy(),
+                depth=fwd.depth,
+                frontier_sizes=list(fwd.frontier_sizes),
+            )
+        delta = None
+        if fwd.depth > 1:
+            delta = accumulate_dependencies(ctx, fwd)
+            FK.bc_update_kernel(
+                ctx.device, ctx.bc_arr.data, delta, s, undirected=not graph.directed,
+                tag=tag,
+            )
+        if capture is not None:
+            # `scale * delta` is bitwise the addend the fold kernel just
+            # accumulated; copied before the arena slots are released below.
+            scale = 0.5 if not graph.directed else 1.0
+            capture.record(
+                s, fwd.levels, fwd.sigma,
+                None if delta is None else scale * delta,
+                fwd.depth,
+                overflowed=overflowed,
+            )
+        ctx.release_source()
+    return fwd.depth, kept
 
 
 def _turbo_bc_batched(
@@ -648,36 +661,13 @@ def _turbo_bc_batched(
                     backward_dtype=np.float64,
                     direction=direction,
                 )
-                rbc = rctx.bc_arr.data
                 try:
                     for s in rerun_sources:
-                        with obs.span("source", source=s):
-                            rfwd = bfs_forward(rctx, s)
-                            depth_map[s] = rfwd.depth
-                            if keep_forward and s == src_list[-1]:
-                                last_forward = BFSResult(
-                                    source=s,
-                                    sigma=rfwd.sigma.copy(),
-                                    levels=rfwd.levels.copy(),
-                                    depth=rfwd.depth,
-                                    frontier_sizes=list(rfwd.frontier_sizes),
-                                )
-                            rdelta = None
-                            if rfwd.depth > 1:
-                                rdelta = accumulate_dependencies(rctx, rfwd)
-                                FK.bc_update_kernel(
-                                    device, rbc, rdelta, s,
-                                    undirected=not graph.directed,
-                                    tag=f"s={s} f64",
-                                )
-                            if capture is not None:
-                                capture.record(
-                                    s, rfwd.levels, rfwd.sigma,
-                                    None if rdelta is None else scale * rdelta,
-                                    rfwd.depth,
-                                    overflowed=True,
-                                )
-                            rctx.release_source()
+                        depth_map[s], kept = _bc_source(
+                            rctx, s, capture=capture, tag=f"s={s} f64", overflowed=True,
+                            keep=keep_forward and s == src_list[-1])
+                        if kept is not None:
+                            last_forward = kept
                     bc += rctx.close().astype(np.float64)
                 except BaseException:
                     rctx.abort()
