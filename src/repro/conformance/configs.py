@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core import forward
 from repro.core.bc import turbo_bc
 from repro.core.multigpu import multi_gpu_bc
 from repro.core.sequential import sequential_bc
@@ -94,6 +95,22 @@ def _telemetry_runner(kernel: str, batch: int | str) -> Runner:
     return run
 
 
+def _solve_runner() -> Runner:
+    """Adaptive B = 1 with the forward's triangular solve on every BFS,
+    however shallow: fuzz graphs rarely reach ``SOLVE_MIN_DEPTH``."""
+    inner = _turbo_runner("adaptive", 1)
+
+    def run(graph: Graph, sources=None) -> np.ndarray:
+        saved = forward.SOLVE_MIN_DEPTH
+        forward.SOLVE_MIN_DEPTH = 0
+        try:
+            return inner(graph, sources)
+        finally:
+            forward.SOLVE_MIN_DEPTH = saved
+
+    return run
+
+
 def _sequential_runner() -> Runner:
     def run(graph: Graph, sources=None) -> np.ndarray:
         return sequential_bc(graph, sources=sources).bc
@@ -104,7 +121,8 @@ def _sequential_runner() -> Runner:
 def default_configs() -> list[ExecutionConfig]:
     """The full registry: every execution axis the repository supports.
 
-    kernel x batch covers the single-GPU grid; the multi-GPU entries
+    kernel x batch covers the single-GPU grid, plus adaptive B = 1 with the
+    forward's triangular solve forced at every depth; the multi-GPU entries
     exercise source partitioning (with and without batching underneath);
     the telemetry entries assert instrumentation cannot perturb results;
     ``sequential`` is the CPU Algorithm 1 as an independent implementation.
@@ -132,6 +150,13 @@ def default_configs() -> list[ExecutionConfig]:
                 axes={"kernel": kernel, "batch": batch, "gpus": 1,
                       "telemetry": False},
             ))
+    configs.append(ExecutionConfig(
+        name="adaptive/b1/solve",
+        runner=_solve_runner(),
+        description="turbo_bc adaptive, batch_size=1, forward sigma by one "
+                    "triangular solve at every depth",
+        axes={"kernel": "adaptive", "batch": 1, "gpus": 1, "telemetry": False},
+    ))
     # Multi-GPU: the scheduler axis must be invisible in the results --
     # cost-model placement, the static round-robin deal, and any device
     # count all fold the same per-task partials in canonical order.

@@ -327,10 +327,6 @@ class EditScriptCase:
             return list(range(self.graph.n))
         return list(self.sources)
 
-    @property
-    def n_edits(self) -> int:
-        return sum(len(a) + len(r) for a, r in self.segments)
-
 
 def replay_edit_script(graph: Graph, segments) -> Graph:
     """Set-based reference application of an edit script.

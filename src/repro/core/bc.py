@@ -188,6 +188,7 @@ def turbo_bc(
     direction: str = "auto",
     keep_state: bool = False,
     _capture=None,
+    _restart_on_overflow: bool = False,
 ) -> "BCResult | DynamicBC":
     """Compute betweenness centrality with TurboBC on the simulated device.
 
@@ -239,6 +240,10 @@ def turbo_bc(
         Internal -- a :class:`~repro.core.incremental.StateCapture` the
         drivers fill with per-source state; used by the ``keep_state``
         machinery and the conformance harness.
+    _restart_on_overflow:
+        Internal -- the run is the int32 attempt of a ``"auto"`` run, so a
+        per-source forward that knows it will overflow raises before its
+        launches (:func:`repro.core.forward._forward_solve`).
 
     Returns
     -------
@@ -283,6 +288,7 @@ def turbo_bc(
             keep_forward=keep_forward,
             direction=direction,
             capture=_capture,
+            restart_on_overflow=_restart_on_overflow,
         )
     except DeviceOutOfMemoryError as exc:
         if exc.advice is None:
@@ -304,6 +310,7 @@ def _turbo_bc_impl(
     keep_forward: bool = False,
     direction: str = "auto",
     capture=None,
+    restart_on_overflow: bool = False,
 ) -> BCResult:
     """The body of :func:`turbo_bc` (which adds the OOM-advice guarantee)."""
     if isinstance(algorithm, str):
@@ -393,6 +400,7 @@ def _turbo_bc_impl(
                 keep_forward=keep_forward,
                 direction=direction,
                 _capture=capture,
+                _restart_on_overflow=True,
             )
         except SigmaOverflowError:
             logger.warning(
@@ -442,6 +450,7 @@ def _turbo_bc_impl(
             forward_dtype=forward_dtype,
             backward_dtype=backward_dtype,
             direction=direction,
+            restart_on_overflow=restart_on_overflow,
         )
         depths: list[int] = []
         last_forward = None

@@ -6,7 +6,10 @@ The per-source stages (:func:`repro.core.forward.bfs_forward`,
 
 1. a numerics loop computes sigma, ``S`` and delta level by level,
    recording each level's index lists -- the rows that are active, the
-   elements each streaming kernel writes;
+   elements each streaming kernel writes.  On a deep adaptive forward one
+   triangular solve replaces the loop
+   (:func:`repro.core.forward._forward_solve`), and the lists are slices
+   of its level-major vertex order;
 2. a replay issues the stage's launches, dispatch decisions, spans and
    telemetry in the pipeline's order.  Under the adaptive dispatcher its
    cost inputs come from the tables here: O(n + m) array passes over the
@@ -16,6 +19,9 @@ The per-source stages (:func:`repro.core.forward.bfs_forward`,
 The forward lists are recorded, not inferred from the final ``S``: in an
 int32 attempt, wrapped negative sigma values change which rows are active
 and which columns a gather writes, and only the recorded lists stay exact.
+(The solve never runs on a forward that wraps, so there a level's
+active rows are the previous level's discovered list and its written
+columns its own.)
 
 A static algorithm runs its kernel's entry point in the numerics loop
 itself, against a recorder, and the replay launches the recorded stats.
@@ -26,7 +32,8 @@ entry point runs in the numerics loop too.  The forward levels are planned
 after theirs, so it runs in the replay, on the level's reconstructed
 operands, which are exact: the frontier is sigma on the previous level's
 discovered list, and the allowed columns are the vertices discovered at
-this level or later.
+this level or later.  Where the solve gave sigma, that replay call is the
+level's only product.
 """
 
 from __future__ import annotations

@@ -62,29 +62,3 @@ def chung_lu_edges(
     dst = rng.choice(w.size, size=n_samples, p=p)
     return src.astype(np.int64), dst.astype(np.int64)
 
-
-def attach_chains(
-    n_core: int,
-    n_total: int,
-    *,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Create path chains hanging off random core vertices.
-
-    Vertices ``n_core .. n_total-1`` are strung into chains whose heads attach
-    to uniformly random vertices of ``0 .. n_core-1``.  Used to deepen BFS
-    trees (road/kmer-style graphs).  Returns undirected edge arrays.
-    """
-    extra = n_total - n_core
-    if extra <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ids = np.arange(n_core, n_total, dtype=np.int64)
-    # Split into chains of geometric length ~8.
-    breaks = rng.random(extra) < 1 / 8
-    breaks[0] = True
-    heads = ids[breaks]
-    src = np.empty(extra, dtype=np.int64)
-    dst = ids
-    src[1:] = ids[:-1]
-    src[breaks] = rng.integers(0, n_core, size=heads.size)
-    return src, dst

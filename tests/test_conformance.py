@@ -92,7 +92,7 @@ class TestConfigRegistry:
     def test_covers_every_execution_axis(self):
         configs = default_configs()
         names = {c.name for c in configs}
-        assert len(names) == len(configs) == 23
+        assert len(names) == len(configs) == 24
         # the scheduler axis: cost-model and round-robin placements both
         # present among the multi-GPU entries
         scheds = {c.axes.get("scheduler") for c in configs
@@ -127,7 +127,7 @@ class TestConfigRegistry:
             "pullcsc/b1", "tcspmm/b1"]
         assert [c.name for c in filter_configs(configs, ["adaptive*"])] == [
             "adaptive/b1", "adaptive/b4", "adaptive/bauto",
-            "adaptive/b4/gpus4"]
+            "adaptive/b1/solve", "adaptive/b4/gpus4"]
         assert filter_configs(configs, None) == list(configs)
         assert filter_configs(configs, ["nosuchconfig"]) == []
 
