@@ -104,33 +104,27 @@ def _replay_backward(ctx, slices, depth, scaled, spmv) -> None:
 def accumulate_dependencies_batch(ctx: TurboBCContext, fwd: BatchedBFSResult) -> np.ndarray:
     """Batched backward stage: the Brandes recurrence on ``(n, B)`` matrices.
 
-    Walks from the *deepest* lane's level down to 2; a lane whose BFS tree
-    is shorter selects no vertices at the deeper levels (its ``S`` column
-    never holds them), so its delta column stays exactly zero until the walk
+    Walks from the *deepest* lane's level down to 2 over the forward
+    stage's recorded slices (``fwd.discovered``, less any overflowed lane
+    the driver dropped); a lane whose BFS tree is shorter has no entries at
+    the deeper levels, so its delta column stays exactly zero until the walk
     reaches its own depth -- from where it proceeds identically to the
     per-source :func:`accumulate_dependencies`.  Per-lane results are
     bit-identical to the sequential stage.
     """
     with obs.span("backward", sources=fwd.sources, batch=fwd.batch_size, phase="backward"):
-        Delta, _Delta_u, _Delta_ut = ctx.swap_to_backward_batch()
-        Sigma = fwd.sigma
-        S = fwd.levels
-        depth = fwd.depth
-        # Flat indices of the depth-d slice.  They come from ``S`` as it is
-        # now -- the driver has zeroed overflowed lanes since the forward pass
-        # -- and the depth-(d-1) list serves this level's update and the
-        # next level's delta_u.
-        level = np.flatnonzero(S == depth)
-        while depth > 1:
-            tag = f"d={depth}"
-            with obs.span("level", depth=depth) as sp:
-                Delta_u, _ = FK.delta_u_batch_kernel(ctx.device, Sigma, Delta, level, tag=tag)
+        Delta, _Delta_u, _Delta_ut = ctx.swap_to_backward()
+        Sigma, slices = fwd.sigma, fwd.discovered
+        for d in range(fwd.depth, 1, -1):
+            tag = f"d={d}"
+            with obs.span("level", depth=d) as sp:
+                Delta_u, _ = FK.delta_u_batch_kernel(ctx.device, Sigma, Delta, slices[d - 1],
+                                                     tag=tag)
                 Delta_ut, _ = ctx.spmm_backward(
                     Delta_u.astype(ctx.backward_dtype, copy=False), tag=tag
                 )
                 if ctx.dispatcher is not None:
                     sp.set(**ctx.dispatcher.last.span_attrs())
-                level = np.flatnonzero(S == depth - 1)
-                FK.delta_update_batch_kernel(ctx.device, Sigma, Delta, Delta_ut, level, tag=tag)
-            depth -= 1
+                FK.delta_update_batch_kernel(ctx.device, Sigma, Delta, Delta_ut, slices[d - 2],
+                                             tag=tag)
     return Delta

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bc import TurboBCAlgorithm, select_algorithm
+from repro.core.bc import TurboBCAlgorithm, _resolve_algorithm
 from repro.core.context import TurboBCContext
 from repro.core.forward import bfs_forward
 from repro.core.result import BFSResult
@@ -36,10 +36,7 @@ def turbo_bfs(
     (see :func:`repro.core.bc.turbo_bc`); it is only meaningful with
     ``algorithm="adaptive"``.
     """
-    if isinstance(algorithm, str):
-        algorithm = TurboBCAlgorithm(algorithm)
-    if algorithm is None:
-        algorithm = select_algorithm(graph)
+    algorithm = _resolve_algorithm(graph, algorithm)
     device = device or Device()
     ctx = TurboBCContext(device, graph, algorithm.name, forward_dtype=forward_dtype,
                          direction=direction)

@@ -208,82 +208,53 @@ class TurboBCContext:
             )
         return self._arena
 
-    def alloc_forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Allocate ``f``/``ft`` (int), ``sigma`` (int), ``S`` (int32).
+    def _carve(self, shape, blocks) -> list:
+        """Carve ``(name, dtype)`` blocks of ``shape`` from the arena: a
+        vector keeps the lower-case names, an ``(n, B)`` matrix capitalises
+        them (``F``, ``Sigma``, ``Delta_u``, ...)."""
+        arena = self._ensure_arena(shape[1] if len(shape) == 2 else 1)
+        return [arena.carve(name if len(shape) == 1 else name.capitalize(),
+                            shape, dtype) for name, dtype in blocks]
+
+    def alloc_forward(self, batch: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Allocate ``f``/``ft`` (int), ``sigma`` (int), ``S`` (int32):
+        vectors, or with a ``batch`` ``(n, B)`` matrices, one lane per
+        column.  Row-major layout keeps each vertex's B lane values
+        contiguous -- the B-wide coalesced loads the SpMM cost model charges
+        for.
 
         Returns the backing arrays for (sigma, S, f); ``ft`` lives inside the
-        SpMV call.  (The simulator charges the allocation; the CUDA code
+        product.  (The simulator charges the allocation; the CUDA code
         holds ``ft`` as a separate device vector, so it is allocated here
         too.)
         """
-        n = self.graph.n
-        arena = self._ensure_arena(1)
-        self._forward_arrs = [
-            arena.carve("f", n, self.forward_dtype),
-            arena.carve("ft", n, self.forward_dtype),
-            arena.carve("sigma", n, self.forward_dtype),
-            arena.carve("S", n, np.int32),
-        ]
-        f, _ft, sigma, S = self._forward_arrs
-        return sigma.data, S.data, f.data
-
-    def alloc_forward_batch(self, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`alloc_forward`: ``(n, B)`` matrices, lane per source.
-
-        Row-major layout keeps each vertex's B lane values contiguous -- the
-        B-wide coalesced loads the SpMM cost model charges for.  Returns the
-        backing arrays for (Sigma, S, F).
-        """
-        if batch < 1:
+        if batch is not None and batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
-        n = self.graph.n
-        arena = self._ensure_arena(batch)
-        self._forward_arrs = [
-            arena.carve("F", (n, batch), self.forward_dtype),
-            arena.carve("Ft", (n, batch), self.forward_dtype),
-            arena.carve("Sigma", (n, batch), self.forward_dtype),
-            arena.carve("S", (n, batch), np.int32),
-        ]
+        shape = (self.graph.n,) if batch is None else (self.graph.n, batch)
+        fdt = self.forward_dtype
+        self._forward_arrs = self._carve(
+            shape, (("f", fdt), ("ft", fdt), ("sigma", fdt), ("S", np.int32)))
         f, _ft, sigma, S = self._forward_arrs
         return sigma.data, S.data, f.data
-
-    def swap_to_backward_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`swap_to_backward`: the Section 3.4 choreography on
-        ``(n, B)`` matrices.  The batched peak -- matrix + ``bc`` + ``Sigma``
-        + ``S`` + three delta matrices -- is the ``5nB + 2n + 1 + m`` words
-        of the batched footprint model."""
-        arena = self._arena
-        f, ft, sigma, S = self._forward_arrs
-        arena.release(f)
-        arena.release(ft)
-        self._forward_arrs = [sigma, S]
-        shape = sigma.shape
-        self._backward_arrs = [
-            arena.carve("Delta", shape, self.backward_dtype),
-            arena.carve("Delta_u", shape, self.backward_dtype),
-            arena.carve("Delta_ut", shape, self.backward_dtype),
-        ]
-        return tuple(a.data for a in self._backward_arrs)
 
     def swap_to_backward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Free ``f``/``ft`` and allocate the float backward vectors.
+        """Free ``f``/``ft`` and allocate the float backward vectors, in the
+        forward arrays' shape.
 
         This is the Section 3.4 memory optimization: the int frontier
-        vectors never coexist with all three float dependency vectors.
-        Returns (delta, delta_u, delta_ut) backing arrays.  ``sigma`` and
-        ``S`` survive the swap (the backward stage reads them).
+        vectors never coexist with all three float dependency vectors, so
+        the batched peak -- matrix + ``bc`` + ``sigma`` + ``S`` + three
+        deltas -- is the ``5nB + 2n + 1 + m`` words of the batched
+        footprint model.  Returns (delta, delta_u, delta_ut) backing arrays.
+        ``sigma`` and ``S`` survive the swap (the backward stage reads them).
         """
-        arena = self._arena
         f, ft, sigma, S = self._forward_arrs
-        arena.release(f)
-        arena.release(ft)
+        self._arena.release(f)
+        self._arena.release(ft)
         self._forward_arrs = [sigma, S]
-        n = self.graph.n
-        self._backward_arrs = [
-            arena.carve("delta", n, self.backward_dtype),
-            arena.carve("delta_u", n, self.backward_dtype),
-            arena.carve("delta_ut", n, self.backward_dtype),
-        ]
+        bdt = self.backward_dtype
+        self._backward_arrs = self._carve(
+            sigma.shape, (("delta", bdt), ("delta_u", bdt), ("delta_ut", bdt)))
         return tuple(a.data for a in self._backward_arrs)
 
     def release_source(self) -> None:

@@ -7,7 +7,9 @@ depths into ``S``.  Two kernel launches per level, exactly as in the
 Figure 2 pipeline: the (init+)SpMV kernel and the update kernel.  The
 per-source stage computes its levels first and replays their launches
 from level tables (:mod:`repro.core.levels`); the batched stage launches
-as it goes.
+as it goes.  Both stages record each level's discovered list (vertex ids,
+or row-major flat indices of the ``(n, B)`` arrays), which is the slice
+the backward stage walks.
 
 The per-source numerics take one of two routes to the same bits.  The
 level loop (:func:`_forward_numerics`) runs one product and one frontier
@@ -285,7 +287,7 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
     for s in src:
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n = {n}")
-    Sigma, S, F = ctx.alloc_forward_batch(B)
+    Sigma, S, F = ctx.alloc_forward(B)
 
     lanes = np.arange(B)
     tel = obs.get_telemetry()
@@ -297,6 +299,7 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
         active = np.ones(B, dtype=bool)
         depths = np.zeros(B, dtype=np.int64)
         frontier_sizes: list[list[int]] = [[] for _ in range(B)]
+        discovered = []
         depth = 0
         while active.any():
             depth += 1
@@ -305,10 +308,11 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
                 Ft, _ = ctx.spmm_forward(F, Sigma, active, tag=tag)
                 if ctx.dispatcher is not None:
                     sp.set(**ctx.dispatcher.last.span_attrs())
-                newF, new_per_lane, _ = FK.frontier_update_batch_kernel(
+                newF, flat, new_per_lane, _ = FK.frontier_update_batch_kernel(
                     ctx.device, Ft, Sigma, S, depth, masked_spmv=ctx.mask_fused, tag=tag
                 )
                 F[...] = newF
+                discovered.append(flat)
                 # One B-word readback serves the whole batch's convergence bitmap.
                 ctx.device.sync_readback(words=B, tag=tag)
                 got = new_per_lane > 0
@@ -337,4 +341,5 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
         depths=[int(d) for d in depths],
         frontier_sizes=frontier_sizes,
         overflowed=overflowed,
+        discovered=discovered,
     )

@@ -178,13 +178,15 @@ def frontier_update_batch_kernel(
     *,
     masked_spmv: bool,
     tag: str = "",
-) -> tuple[np.ndarray, np.ndarray, KernelLaunch]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, KernelLaunch]:
     """Batched lines 20-27 (:func:`frontier_update` on ``(n, B)`` arrays).
 
     One BFS lane per column: drained lanes have all-zero frontier columns,
     so the update is a no-op for them.  Returns the new frontier matrix,
-    the per-lane count of newly discovered vertices (the convergence
-    bitmap is ``counts > 0``), and the launch record.
+    the sorted row-major flat indices it stamped (the level's slice, which
+    the backward stage walks), the per-lane count of newly discovered
+    vertices (the convergence bitmap is ``counts > 0``), and the launch
+    record.
     """
     n, B = Sigma.shape
     F, flat = frontier_update(Ft, Sigma, S, depth, masked_spmv=masked_spmv)
@@ -192,7 +194,7 @@ def frontier_update_batch_kernel(
     touched_txn = W.gather_transactions(flat) if flat.size else 0
     (stats,) = frontier_update_costs(n * B, flat.size, touched_txn,
                                      masked_spmv=masked_spmv)
-    return F, new_per_lane, device.launch(stats, tag=tag)
+    return F, flat, new_per_lane, device.launch(stats, tag=tag)
 
 
 def delta_u_batch_kernel(
@@ -205,12 +207,11 @@ def delta_u_batch_kernel(
 ) -> tuple[np.ndarray, KernelLaunch]:
     """Batched lines 32-36 (:func:`delta_u` on the ``(n, B)`` depth-d slice).
 
-    ``level`` is the slice as row-major flat indices,
-    ``np.flatnonzero(S == d)``; the backward stage passes the list it
-    already built for the previous level's :func:`delta_update_batch_kernel`.
-    Lanes whose BFS tree is shorter than ``d`` contribute no indices (their
-    ``S`` column never reaches it), so a batch walks down from the deepest
-    lane with shallow lanes riding along as exact no-ops.
+    ``level`` is the slice as sorted row-major flat indices, the list
+    :func:`frontier_update_batch_kernel` stamped at depth ``d``.  Lanes
+    whose BFS tree is shorter than ``d`` contribute no indices, so a batch
+    walks down from the deepest lane with shallow lanes riding along as
+    exact no-ops.
     """
     Delta_u, idx = delta_u(Sigma, Delta, level)
     n, B = Sigma.shape
@@ -230,7 +231,7 @@ def delta_update_batch_kernel(
 ) -> KernelLaunch:
     """Batched lines 38-40 (:func:`delta_update` on the ``(n, B)``
     depth-(d-1) slice).  Mutates ``Delta`` in place.  ``level`` is that
-    slice as row-major flat indices, ``np.flatnonzero(S == d - 1)``."""
+    slice as sorted row-major flat indices."""
     delta_update(Sigma, Delta, Delta_ut, level)
     n, B = Sigma.shape
     txn = W.gather_transactions(level) if level.size else 0

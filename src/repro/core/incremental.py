@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.result import BCResult, BCRunStats
+from repro.core.validate import resolve_sources
 from repro.graphs.graph import Graph
 from repro.obs import telemetry as obs
 
@@ -265,7 +266,7 @@ class DynamicBC:
     @classmethod
     def create(cls, graph: Graph, *, sources, algorithm, device, forward_dtype,
                backward_dtype, batch_size, direction) -> "DynamicBC":
-        from repro.core.bc import _resolve_sources, turbo_bc
+        from repro.core.bc import turbo_bc
         from repro.gpusim.device import Device
 
         device = device or Device()
@@ -279,7 +280,7 @@ class DynamicBC:
             graph=graph,
             result=result,
             states=cap.states,
-            order=_resolve_sources(graph, sources),
+            order=resolve_sources(graph, sources),
             all_sources=sources is None,
             device=device,
             algorithm_arg=algorithm,
@@ -461,9 +462,7 @@ class DynamicBC:
                 batch_size=self._batch_size, direction=self._direction,
                 _capture=cap,
             )
-        from repro.core.bc import _resolve_sources
-
-        self._order = _resolve_sources(
+        self._order = resolve_sources(
             new_graph, None if self._all_sources else self._order
         )
         self._states = cap.states

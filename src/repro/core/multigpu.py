@@ -39,8 +39,8 @@ import numpy as np
 from repro.core.bc import (
     ALGORITHMS,
     TurboBCAlgorithm,
-    _auto_batch_size,
-    select_algorithm,
+    _resolve_algorithm,
+    _resolve_batch,
     turbo_bc,
 )
 from repro.core.result import BCResult, BCRunStats
@@ -140,33 +140,14 @@ def multi_gpu_bc(
         raise ValueError(
             f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
         )
-    if isinstance(algorithm, str):
-        algorithm = TurboBCAlgorithm(algorithm)
-    if algorithm is None:
-        algorithm = select_algorithm(graph)
+    algorithm = _resolve_algorithm(graph, algorithm)
     src_list = resolve_sources(graph, sources)
 
     # Resolve the task batch once, placement-independently: "auto" sizes
     # against a pristine (unbacked) device of the same spec, exactly the
     # free-memory state every per-task context starts from.
-    fmt = ALGORITHMS[algorithm.name][0]
-    dtype_is_auto = isinstance(forward_dtype, str) and forward_dtype == "auto"
-    if isinstance(batch_size, str):
-        if batch_size != "auto":
-            raise ValueError(
-                f"batch_size must be a positive int or 'auto', got {batch_size!r}"
-            )
-        worst_fdt = np.float64 if dtype_is_auto else forward_dtype
-        worst_bdt = np.float64 if dtype_is_auto else np.float32
-        probe = Device(spec, backed=False)
-        batch = _auto_batch_size(
-            graph, probe, len(src_list), fmt, worst_fdt, worst_bdt
-        )
-    else:
-        batch = int(batch_size)
-        if batch < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch}")
-        batch = min(batch, max(len(src_list), 1))
+    batch = _resolve_batch(graph, Device(spec, backed=False), len(src_list), batch_size,
+                           ALGORITHMS[algorithm.name][0], forward_dtype, np.float32)
 
     chunks = partition_sources(src_list, batch)
     tasks = estimate_task_costs(

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.backward import accumulate_dependencies
-from repro.core.bc import TurboBCAlgorithm, select_algorithm, _resolve_sources
+from repro.core.bc import TurboBCAlgorithm, _resolve_algorithm
 from repro.core.context import TurboBCContext
 from repro.core.forward import bfs_forward
 from repro.core.result import BCRunStats
+from repro.core.validate import resolve_sources
 from repro.graphs.graph import Graph
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelStats
@@ -116,12 +117,9 @@ def edge_betweenness(
     :meth:`EdgeBCResult.undirected_pairs`).  Source conventions match
     :func:`repro.core.bc.turbo_bc`.
     """
-    if isinstance(algorithm, str):
-        algorithm = TurboBCAlgorithm(algorithm)
-    if algorithm is None:
-        algorithm = select_algorithm(graph)
+    algorithm = _resolve_algorithm(graph, algorithm)
     device = device or Device()
-    src_list = _resolve_sources(graph, sources)
+    src_list = resolve_sources(graph, sources)
 
     t0 = time.perf_counter()
     launches_before = device.profiler.total_launches()

@@ -23,6 +23,7 @@ from repro.gpusim.device import Device, DeviceSpec
 from repro.obs import telemetry as obs
 from repro.perf.memory_model import (
     turbobc_arena_slab_bytes,
+    turbobc_batched_footprint_bytes,
     turbobc_batched_footprint_words,
 )
 from tests.conftest import assert_bc_close, random_graph
@@ -252,9 +253,7 @@ class TestOverflowBatchAdmission:
 
     def test_worst_case_sizing_is_tighter(self):
         g = doubling_ladder()
-        from repro.core.bc import _batched_footprint_bytes
-
-        cap = _batched_footprint_bytes(g, 2, "csc", np.float64, np.float64)
+        cap = turbobc_batched_footprint_bytes(g.n, g.m, 2, "csc", np.float64, np.float64)
         dev = Device(DeviceSpec(global_memory_bytes=cap))
         naive = _auto_batch_size(g, dev, 8, "csc", np.int32, np.float32)
         worst = _auto_batch_size(g, dev, 8, "csc", np.float64, np.float64)
@@ -269,9 +268,7 @@ class TestOverflowBatchAdmission:
         # on a device sized to exactly the worst-case B=2 footprint, the
         # forced overflow re-run completes and matches the oracle.
         g = doubling_ladder()
-        from repro.core.bc import _batched_footprint_bytes
-
-        cap = _batched_footprint_bytes(g, 2, "csc", np.float64, np.float64)
+        cap = turbobc_batched_footprint_bytes(g.n, g.m, 2, "csc", np.float64, np.float64)
         dev = Device(DeviceSpec(global_memory_bytes=cap))
         res = turbo_bc(g, sources=[0, 1, 2, 3], device=dev,
                        batch_size="auto", forward_dtype="auto")
@@ -283,15 +280,15 @@ class TestOverflowBatchAdmission:
 
     def test_explicit_batch_admission_boundary(self):
         g = doubling_ladder()
-        from repro.core.bc import _batched_footprint_bytes
         from repro.gpusim.memory import DeviceOutOfMemoryError
 
         # The B=2 int32/float32 working set and the B=1 float64 re-run both
         # cost matrix + 44n bytes: admitting the batch guarantees the re-run
         # fits.  At exactly that capacity the forced-overflow run completes;
         # one byte less and admission rejects it up front.
-        batch_need = _batched_footprint_bytes(g, 2, "csc", np.int32, np.float32)
-        rerun_need = _batched_footprint_bytes(g, 1, "csc", np.float64, np.float64)
+        batch_need = turbobc_batched_footprint_bytes(g.n, g.m, 2, "csc", np.int32, np.float32)
+        rerun_need = turbobc_batched_footprint_bytes(g.n, g.m, 1, "csc", np.float64,
+                                                     np.float64)
         assert batch_need == rerun_need
         dev = Device(DeviceSpec(global_memory_bytes=batch_need))
         res = turbo_bc(g, sources=[0, 1], device=dev, batch_size=2,

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bc import _resolve_sources, turbo_bc
+from repro.core.bc import turbo_bc
 from repro.core.forward import SigmaOverflowError
 from repro.core.multigpu import multi_gpu_bc
 from repro.core.approx import approximate_bc
+from repro.core.validate import resolve_sources
 from repro.graphs.graph import Graph
 from repro.gpusim.device import Device, DeviceSpec
 from repro.gpusim.errors import DeviceOutOfMemoryError
@@ -43,6 +44,28 @@ class TestBatchedParity:
         seq = turbo_bc(g, sources=srcs)
         bat = turbo_bc(g, sources=srcs, batch_size=8)
         assert_bc_close(bat.bc, seq.bc)
+
+    @pytest.mark.parametrize("algorithm", ("sccsc", "adaptive"))
+    def test_width_is_a_run_property(self, algorithm):
+        """The run's B, not a chunk's width, picks the pipeline: the width-1
+        tail chunk of 9 sources at B = 8 still launches SpMM products, and a
+        B = 1 run launches only SpMV ones."""
+        g = random_graph(50, 0.06, directed=True, seed=3)
+        device = Device()
+        res = turbo_bc(g, sources=range(9), algorithm=algorithm, device=device,
+                       batch_size=8)
+        assert res.stats.batch_size == 8
+        names = [launch.stats.name for launch in device.profiler.launches]
+        folds = [i for i, name in enumerate(names) if name == "bc_update"]
+        assert len(folds) == 2  # one fold per chunk: 8 lanes, then 1
+        tail = [name for name in names[folds[0] + 1:] if "_spm" in name]
+        assert tail and all("_spmm" in name for name in tail), tail
+
+        device = Device()
+        turbo_bc(g, sources=range(9), algorithm=algorithm, device=device, batch_size=1)
+        products = [launch.stats.name for launch in device.profiler.launches
+                    if "_spm" in launch.stats.name]
+        assert products and all("_spmv" in name for name in products), products
 
     @pytest.mark.parametrize("name,n_sources", [
         ("mycielskian15", 6),   # undirected, veccsc-classified
@@ -393,9 +416,9 @@ class TestSourceValidation:
             turbo_bc(small_directed, sources=[1, 2, 1])
 
     def test_resolve_sources_helper(self, small_directed):
-        assert _resolve_sources(small_directed, None) == list(range(40))
-        assert _resolve_sources(small_directed, 5) == [5]
-        assert _resolve_sources(small_directed, [3, 1]) == [3, 1]
+        assert resolve_sources(small_directed, None) == list(range(40))
+        assert resolve_sources(small_directed, 5) == [5]
+        assert resolve_sources(small_directed, [3, 1]) == [3, 1]
 
     def test_bad_batch_size_rejected(self, small_directed):
         with pytest.raises(ValueError, match="batch_size"):

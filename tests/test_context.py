@@ -39,45 +39,67 @@ class TestAllocationChoreography:
         assert matrix_bytes == 4 * (n + 1 + m)  # one CSC copy only
         ctx.abort()
 
-    def test_forward_arrays_freed_before_backward(self, graph):
+    @pytest.mark.parametrize("batch", (None, 3), ids=("vector", "n-by-3"))
+    def test_forward_arrays_freed_before_backward(self, graph, batch):
         """The Section 3.4 choreography now runs inside the arena slab: the
         int frontier blocks are released before the float delta blocks are
-        carved, so they never coexist."""
+        carved, so they never coexist.  A vector keeps lower-case names, an
+        ``(n, B)`` matrix capitalised ones."""
+        name = str if batch is None else str.capitalize
+        shape = (graph.n,) if batch is None else (graph.n, batch)
         device = Device()
         ctx = TurboBCContext(device, graph, "sccsc")
-        ctx.alloc_forward()
+        sigma, S, f = ctx.alloc_forward(batch)
+        assert sigma.shape == S.shape == f.shape == shape
         fwd_blocks = {a.name: a for a in ctx._forward_arrs}
-        assert set(fwd_blocks) == {"f", "ft", "sigma", "S"}
-        f, ft = fwd_blocks["f"], fwd_blocks["ft"]
-        ctx.swap_to_backward()
+        assert set(fwd_blocks) == {name(b) for b in ("f", "ft", "sigma", "S")}
+        f, ft = fwd_blocks[name("f")], fwd_blocks[name("ft")]
+        deltas = ctx.swap_to_backward()
+        assert all(d.shape == shape and d.dtype == np.float32 for d in deltas)
         assert f.is_freed and ft.is_freed
         live = {a.name for a in ctx._forward_arrs + ctx._backward_arrs}
-        assert live == {"sigma", "S", "delta", "delta_u", "delta_ut"}
+        assert live == {name(b) for b in ("sigma", "S", "delta", "delta_u", "delta_ut")}
         # the released frontier bytes were recycled into the delta blocks
         assert ctx._arena.reuses >= 2
         ctx.abort()
 
-    def test_peak_is_7n_plus_m(self, graph):
-        """The paper's headline footprint: 7n + m words for CSC."""
+    @pytest.mark.parametrize("batch", (None, 3), ids=("vector", "n-by-3"))
+    def test_peak_is_footprint_model(self, graph, batch):
+        """The paper's headline footprint -- 7n + m words for CSC -- and its
+        batched twin: the run peak is the footprint model's, and nothing is
+        left live after ``close``."""
+        from repro.perf.memory_model import turbobc_batched_footprint_bytes
+
         device = Device()
         ctx = TurboBCContext(device, graph, "sccsc")
-        ctx.alloc_forward()
+        ctx.alloc_forward(batch)
         ctx.swap_to_backward()
+        ctx.release_source()
         n, m = graph.n, graph.m
-        assert device.memory.peak_bytes == 4 * (7 * n + 1 + m)
-        ctx.abort()
+        assert device.memory.run_peak_bytes == turbobc_batched_footprint_bytes(
+            n, m, batch or 1, "csc", np.int32, np.float32)
+        if batch is None:
+            assert device.memory.peak_bytes == 4 * (7 * n + 1 + m)
+        ctx.close()
+        assert device.memory.used_bytes == 0
+        assert not device.memory.live_arrays
 
-    def test_release_source_keeps_matrix(self, graph):
+    @pytest.mark.parametrize("batch", (None, 3), ids=("vector", "n-by-3"))
+    def test_release_source_keeps_matrix(self, graph, batch):
         """Matrix, ``bc`` and the arena slab survive a source release; the
         per-source blocks return to the slab without touching the allocator."""
         device = Device()
         ctx = TurboBCContext(device, graph, "sccsc")
-        ctx.alloc_forward()
+        ctx.alloc_forward(batch)
         ctx.release_source()
         names = {a.name for a in device.memory.live_arrays}
         assert names == {"CP_A", "row_A", "bc", "arena"}
         assert ctx._arena.free_bytes == ctx._arena.capacity_bytes
         ctx.abort()
+
+    def test_alloc_forward_rejects_empty_batch(self, graph):
+        with pytest.raises(ValueError, match="batch"):
+            TurboBCContext(Device(), graph, "sccsc").alloc_forward(0)
 
     def test_close_frees_everything_and_returns_bc(self, graph):
         device = Device()

@@ -201,7 +201,7 @@ class TestBatchFrontierKernels:
     def test_frontier_update_matches_mask_formula(self, B, sigma_dtype, masked_spmv):
         _, Sigma, S, Ft = _batch_state(B, sigma_dtype, seed=B)
         Sigma2, S2, Ft2 = Sigma.copy(), S.copy(), Ft.copy()
-        got_F, got_counts, got = FK.frontier_update_batch_kernel(
+        got_F, got_flat, got_counts, got = FK.frontier_update_batch_kernel(
             Device(), Ft, Sigma, S, 5, masked_spmv=masked_spmv
         )
         want_F, want_counts, want = _mask_frontier_update(
@@ -210,15 +210,18 @@ class TestBatchFrontierKernels:
         for g, w in ((got_F, want_F), (Sigma, Sigma2), (S, S2)):
             _same_bytes(g, w)
         _same_bytes(got_counts, want_counts)
+        # the returned slice is exactly what was stamped at this depth
+        np.testing.assert_array_equal(got_flat, np.flatnonzero(S == 5))
         assert got.stats == want.stats
         assert got.time_s == want.time_s
 
     def test_frontier_update_empty_frontier(self):
         Sigma = np.ones((40, 8), dtype=np.int32)
         S = np.ones((40, 8), dtype=np.int32)
-        F, counts, launch = FK.frontier_update_batch_kernel(
+        F, flat, counts, launch = FK.frontier_update_batch_kernel(
             Device(), np.zeros((40, 8), np.int32), Sigma, S, 3, masked_spmv=True
         )
+        assert flat.size == 0
         assert counts.tolist() == [0] * 8
         assert launch.stats.dram_write_bytes == 0
 
