@@ -1,9 +1,14 @@
 """The backward (dependency-accumulation) stage of Algorithm 1, lines 31-42.
 
-Walks the BFS levels in reverse, applying the Brandes recurrence (Eq. 4)
-with three kernel launches per level (the Figure 2 pipeline): build
-``delta_u`` from the depth-d slice, one SpMV, then fold the weighted result
-into ``delta`` on the depth-(d-1) slice.
+The pipeline walks the BFS levels in reverse, applying the Brandes
+recurrence (Eq. 4) with three kernel launches per level (the Figure 2
+pipeline): build ``delta_u`` from the depth-d slice, one SpMV, then fold
+the weighted result into ``delta`` on the depth-(d-1) slice.
+
+The per-source stage computes delta first, in one sweep over the source's
+level-major BFS DAG (:func:`_sweep`, DESIGN.md §7 "Backward delta as one
+sweep"), and then replays those launches from level tables
+(:mod:`repro.core.levels`).  The batched stage launches as it goes.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ import numpy as np
 
 from repro.core import frontier as FK
 from repro.core.context import TurboBCContext
-from repro.core.levels import SpmvLevels, flatten, list_costs
+from repro.core.levels import LevelDAG, SpmvLevels, flatten, label, level_dag, list_costs
 from repro.core.result import BatchedBFSResult, BFSResult
 from repro.obs import telemetry as obs
+from repro.spmv._spmm import cast_like_spmv
 
 
 def accumulate_dependencies(ctx: TurboBCContext, fwd: BFSResult) -> np.ndarray:
@@ -23,25 +29,29 @@ def accumulate_dependencies(ctx: TurboBCContext, fwd: BFSResult) -> np.ndarray:
     The context swaps its forward frontier arrays for the float dependency
     vectors first (Section 3.4's allocation choreography).  ``fwd`` is
     :func:`~repro.core.forward.bfs_forward`'s result: ``sigma`` is read in
-    place and the depth slices are its recorded ``discovered`` lists.  The
-    levels are planned from those slices, computed, and then replayed as
-    the pipeline's launches (:mod:`repro.core.levels`).
+    place, the depth slices are its recorded ``discovered`` lists, and its
+    BFS DAG is reused where the forward solve built one.  The levels are
+    planned from the slices, delta is computed by :func:`_sweep`, the
+    levels the tables price get their ``KernelStats``, and the replay
+    launches them all (:mod:`repro.core.levels`).
     """
     with obs.span("backward", source=fwd.source, phase="backward"):
         delta, _delta_u, _delta_ut = ctx.swap_to_backward()
         sigma, depth = fwd.sigma, fwd.depth
         # slices[d - 1]: the vertices at depth d, as the forward stage found them
         slices = fwd.discovered
+        push = ctx.matrix.push_operator()
 
         def operands(k):
             # delta on the depth-d slice is final once level d + 1 has run
             return FK.delta_u(sigma, delta, slices[depth - k - 1])[0], None
 
-        spmv = SpmvLevels(ctx, "backward", _planned_rows(sigma, delta.dtype, slices, depth),
-                          None, delta.dtype, operands)
-        scaled, written = _backward_numerics(ctx, sigma, delta, slices, depth, spmv)
-        spmv.price(written)
-        _replay_backward(ctx, slices, depth, scaled, spmv)
+        active = _planned_rows(sigma, delta.dtype, slices, depth)
+        spmv = SpmvLevels(ctx, "backward", active, None, delta.dtype, operands)
+        _sweep(_dag(push, fwd), sigma, delta, scatter=ctx.graph.directed)
+        if any(spmv.priced):
+            spmv.price(_written_counts(push, active, fwd.levels, depth))
+        _replay_backward(ctx, slices, depth, spmv)
     return delta
 
 
@@ -64,32 +74,73 @@ def _planned_rows(sigma, dtype, slices, depth) -> list[np.ndarray]:
     return [flat[lo:hi][keep[lo:hi]] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-def _backward_numerics(ctx, sigma, delta, slices, depth, spmv):
-    """Lines 31-42 per level, depth ``depth`` down to 2.
+def _dag(push, fwd: BFSResult) -> LevelDAG:
+    """The forward's BFS DAG: the solve's, else built from its slices."""
+    if fwd.dag is not None:
+        return fwd.dag
+    perm, bounds = flatten([np.array([fwd.source])] + fwd.discovered[:fwd.depth])
+    return level_dag(push, perm, bounds)
 
-    Each level's product runs the kernel ``spmv`` planned for it: its
-    entry point, against a recorder, or the SpMV engine for a level the
-    tables price (``spmv.stats`` gets the recorded ``KernelStats``).
-    Returns per level the ``delta_u`` writes and the product's
-    positive-sum count.
+
+def _sweep(dag: LevelDAG, sigma, delta, *, scatter: bool) -> None:
+    """Lines 31-42 for every level of the level-major BFS DAG, the deepest
+    down to 2; writes ``delta`` in place.
+
+    Each level is the pipeline's three steps on contiguous rank blocks, with
+    the kernels' operand dtypes: ``delta_u``'s expression on the depth-d
+    block, each parent's sum of its children's ``delta_u`` (``np.bincount``
+    adds in float64 from +0.0 in input order, which is the engine's storage
+    order), the product's cast to the delta dtype, and ``delta_ut * sigma``
+    on the depth-(d-1) block.  The bits are the level loop's (DESIGN.md §7):
+    the terms the DAG leaves out are +-0.0 added to a sum that starts at
+    +0.0, and each vertex's delta is updated once, so ``0 + delta_ut *
+    sigma`` is the product.  Every discovered vertex has ``sigma > 0``
+    (an overflowing forward raises), so ``delta_u`` covers its whole slice.
     """
-    scaled, written = [], []
-    for k, d in enumerate(range(depth, 1, -1)):
-        delta_u, idx = FK.delta_u(sigma, delta, slices[d - 1])
-        scaled.append(idx)
-        kernel = None if spmv.priced[k] else spmv.kernels[k]
-        delta_ut, n_written, spmv.stats[k] = ctx.product("backward", delta_u, kernel=kernel)
-        written.append(n_written)
-        FK.delta_update(sigma, delta, delta_ut, slices[d - 2])
-    return scaled, written
+    perm, bounds, indptr, child = dag
+    sig = sigma[perm]
+    acc = np.zeros(perm.size, dtype=delta.dtype)  # delta in rank order
+    # each edge's parent and child as offsets into their levels' blocks
+    starts = np.repeat(bounds[:-1], np.diff(bounds))
+    parent = np.repeat(np.arange(perm.size) - starts, np.diff(indptr))
+    child = child - starts[child]
+    for d in range(bounds.size - 2, 1, -1):
+        lo, mid, hi = bounds[d - 1:d + 2].tolist()
+        x = ((1.0 + acc[mid:hi]) / sig[mid:hi]).astype(acc.dtype, copy=False)
+        e0, e1 = indptr[lo], indptr[mid]
+        sums = np.bincount(parent[e0:e1], weights=x[child[e0:e1]], minlength=mid - lo)
+        acc[lo:mid] = cast_like_spmv(sums, acc.dtype, positive_only=not scatter) * sig[lo:mid]
+    delta[perm] = acc
 
 
-def _replay_backward(ctx, slices, depth, scaled, spmv) -> None:
+def _written_counts(push, active, S, depth) -> np.ndarray:
+    """Per launch, the undirected gather's positive sums: the distinct
+    neighbours of the launch's ``active`` rows, counted in one O(m) pass.
+
+    A neighbour of a depth-d row lies at depth d - 1, d or d + 1, so a
+    vertex has at most three (vertex, launch) pairs, one cell each of a
+    ``3 n`` flag array; ``S`` holds the depths.
+    """
+    k1 = label(active, push.shape[0])  # launch + 1 of an active row, else 0
+    entry = np.repeat(k1, np.diff(push.indptr))
+    live = np.flatnonzero(entry)
+    col = push.indices[live].astype(np.int64)
+    # launch k's rows lie at depth - k
+    slot = (depth + 2) - entry[live] - S[col]
+    hit = np.zeros(3 * push.shape[0], dtype=bool)
+    hit[3 * col + slot] = True
+    cells = np.flatnonzero(hit)
+    launch = depth + 1 - S[cells // 3] - cells % 3
+    return np.bincount(launch, minlength=len(active))
+
+
+def _replay_backward(ctx, slices, depth, spmv) -> None:
     """Launch the computed levels: per level ``delta_u``, the SpMV and the
-    ``delta`` update, each level in its own span."""
+    ``delta`` update, each level in its own span.  A level the tables did
+    not price runs its kernel's entry point here, on ``spmv.operands``."""
     walk = range(depth, 1, -1)
     n = ctx.graph.n
-    scales = FK.delta_u_costs(n, *list_costs(scaled))
+    scales = FK.delta_u_costs(n, *list_costs([slices[d - 1] for d in walk]))
     updates = FK.delta_update_costs(n, *list_costs([slices[d - 2] for d in walk]))
     for k, d in enumerate(walk):
         tag = f"d={d}"

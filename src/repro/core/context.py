@@ -350,9 +350,10 @@ class TurboBCContext:
 
     # -- per-source products ---------------------------------------------------
     #
-    # The per-source stages compute every level first (``product``) and
-    # then replay the launches (``launch_spmv``) from their level tables
-    # (core/levels.py, DESIGN.md §7 "Numerics, then costs").
+    # The per-source stages compute every level first (the forward loop
+    # through ``product``, the backward in one sweep) and then replay the
+    # launches (``launch_spmv``) from their level tables (core/levels.py,
+    # DESIGN.md §7 "Numerics, then costs").
 
     def _kernels(self, stage: str) -> dict:
         """Kernel name -> per-source entry point of ``stage``'s product:
@@ -367,32 +368,29 @@ class TurboBCContext:
             return {"sccooc": sccooc_spmv_scatter if scatter else sccooc_spmv}
         return _STATIC_SPMV_SCATTER if scatter else _STATIC_SPMV
 
-    def product(self, stage: str, x: np.ndarray, allowed: np.ndarray | None = None,
+    def product(self, x: np.ndarray, allowed: np.ndarray | None = None,
                 *, kernel: str | None = None):
-        """The numerics of one level's per-source product, without a launch.
+        """The numerics of one forward level's product, without a launch.
 
-        Returns ``(y, n_written, stats)``.  The forward gather masks by
-        ``allowed`` (``sigma == 0``) where the kernel fuses the mask; the
-        COOC kernel leaves it to the update kernel.  With a ``kernel``, its
-        entry point runs against a recorder, so ``stats`` is the level's
-        exact ``KernelStats`` for the replay to launch.  Without one the
-        SpMV engine computes ``y`` alone: ``stats`` is ``None`` and
-        ``n_written`` counts a gather's positive sums for the level tables
-        (``None`` for a scatter).  Every kernel of the stage computes this
-        ``y``.
+        Returns ``(y, n_written, stats)``.  The gather masks by ``allowed``
+        (``sigma == 0``) where the kernel fuses the mask; the COOC kernel
+        leaves it to the update kernel.  With a ``kernel``, its entry point
+        runs against a recorder, so ``stats`` is the level's exact
+        ``KernelStats`` for the replay to launch.  Without one the SpMV
+        engine computes ``y`` alone: ``stats`` is ``None`` and
+        ``n_written`` counts the positive sums for the level tables.  Every
+        kernel of the stage computes this ``y``.
         """
         if kernel is not None:
             kwargs = {"allowed": allowed} if allowed is not None and self.mask_fused else {}
-            y, stats = self._kernels(stage)[kernel](self._recorder, self.matrix, x, **kwargs)
+            y, stats = self._kernels("forward")[kernel](self._recorder, self.matrix, x, **kwargs)
             return y, None, stats
-        if stage == "backward" and self.graph.directed:
-            return M.product(self.matrix, x, batched=False, scatter=True).y, None, None
         p = M.product(self.matrix, x, batched=False, allowed=allowed, need="written")
         return p.y, p.written, None
 
     def launch_spmv(self, stage: str, operands, *, kernel: str | None = None,
                     stats=None, tag: str = "") -> KernelLaunch:
-        """Launch one level's per-source product (:meth:`product`'s stage).
+        """Launch one level's per-source product of ``stage``.
 
         ``kernel`` is the adaptive strategy (the static algorithm's kernel
         otherwise).  ``stats`` is the level's ``KernelStats`` when the

@@ -34,7 +34,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from repro.core import frontier as FK
 from repro.core.context import TurboBCContext
-from repro.core.levels import SpmvLevels, label, list_costs
+from repro.core.levels import SpmvLevels, label, level_dag, list_costs
 from repro.core.result import BatchedBFSResult, BFSResult
 from repro.obs import telemetry as obs
 
@@ -82,8 +82,8 @@ def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
 
     tel = obs.get_telemetry()
     with obs.span("forward", source=source, phase="forward"):
-        recorded = (_forward_solve(ctx, source, sigma, S)
-                    or _forward_numerics(ctx, source, sigma, S, f))
+        *recorded, dag = (_forward_solve(ctx, source, sigma, S)
+                          or _forward_numerics(ctx, source, sigma, S, f))
         _replay_forward(ctx, source, sigma, *recorded, tel)
         discovered = recorded[0]
         depth = len(discovered) - 1  # the last level discovered nothing (line 29)
@@ -105,6 +105,7 @@ def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
         depth=depth,
         frontier_sizes=[int(t.size) for t in discovered[:-1]],
         discovered=discovered,
+        dag=dag,
     )
 
 
@@ -114,8 +115,9 @@ def _forward_numerics(ctx, source, sigma, S, f):
     Returns per level (depth 1, 2, ...): the discovered list, the active
     rows of the level's product (the previous level's positive frontier
     entries; the source for depth 1), and the product's positive-sum count
-    and recorded ``KernelStats`` (see ``TurboBCContext.product``).  The
-    last level discovers nothing.  A static algorithm's entry point
+    and recorded ``KernelStats`` (see ``TurboBCContext.product``); then
+    ``None`` for the BFS DAG, which the loop does not build.  The last
+    level discovers nothing.  A static algorithm's entry point
     computes the products; adaptive levels are planned from these lists
     afterwards, so the SpMV engine computes theirs.
     """
@@ -127,7 +129,7 @@ def _forward_numerics(ctx, source, sigma, S, f):
     depth = 0
     while True:
         depth += 1
-        ft, n_written, level_stats = ctx.product("forward", x, sigma == 0, kernel=kernel)
+        ft, n_written, level_stats = ctx.product(x, sigma == 0, kernel=kernel)
         x, touched = FK.frontier_update(ft, sigma, S, depth, masked_spmv=ctx.mask_fused)
         discovered.append(touched)
         written.append(n_written)
@@ -136,13 +138,14 @@ def _forward_numerics(ctx, source, sigma, S, f):
             break
         active.append(touched[np.take(x, touched) > 0])
     f[source] = 0  # the drained frontier
-    return discovered, active, written, stats
+    return discovered, active, written, stats, None
 
 
 def _forward_solve(ctx, source, sigma, S):
     """Algorithm 1 lines 15-28 as one sparse triangular solve, or ``None``
     where the level loop must run.  Returns :func:`_forward_numerics`'s
-    lists.
+    lists and the BFS DAG (:class:`~repro.core.levels.LevelDAG`), which
+    the backward stage walks too.
 
     sigma over the BFS DAG solves ``(I - P) sigma = e_source``, where ``P``
     holds the stored entries from level d - 1 to level d.  With the
@@ -183,20 +186,15 @@ def _forward_solve(ctx, source, sigma, S):
     depth = len(bounds) - 2
     if depth < SOLVE_MIN_DEPTH:
         return None
+    bounds = np.array(bounds)
     lev = np.repeat(np.arange(depth + 1), np.diff(bounds))
     perm = np.sort(lev * n + order) % n  # level-major, ascending id within a level
-    level = np.empty(n, dtype=np.int64)
-    level[perm] = lev
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(perm.size)
 
-    # Row j of ``dag`` holds perm[j]'s entries one level down: column j of
-    # P in the solve order (children ascending, as ``push`` stores them).
-    dag = push[perm]
-    dag.data = (level[dag.indices] == np.repeat(lev + 1, np.diff(dag.indptr))) * 1.0
-    dag.eliminate_zeros()
+    # Row j of the DAG holds perm[j]'s children: column j of P in the solve
+    # order.
+    dag = level_dag(push, perm, bounds)
     L = eye_array(perm.size, format="csc") - csc_array(
-        (dag.data, rank[dag.indices], dag.indptr), shape=(perm.size,) * 2)
+        (np.ones(dag.child.size), dag.child, dag.indptr), shape=(perm.size,) * 2)
     rhs = np.zeros(perm.size)
     rhs[0] = 1.0
     x = spsolve_triangular(L, rhs, lower=True, overwrite_A=True, overwrite_b=True,
@@ -213,7 +211,7 @@ def _forward_solve(ctx, source, sigma, S):
     lists = np.split(perm, bounds[1:-1])  # levels 0 .. depth
     discovered = lists[1:] + [perm[:0]]
     written = [int(d.size) for d in discovered]
-    return discovered, lists, written, [None] * len(discovered)
+    return discovered, lists, written, [None] * len(discovered), dag
 
 
 def _replay_forward(ctx, source, sigma, discovered, active, written, stats, tel) -> None:

@@ -4,12 +4,14 @@ The per-source stages (:func:`repro.core.forward.bfs_forward`,
 :func:`repro.core.backward.accumulate_dependencies`) run in two parts
 (DESIGN.md §7, "Numerics, then costs"):
 
-1. a numerics loop computes sigma, ``S`` and delta level by level,
-   recording each level's index lists -- the rows that are active, the
-   elements each streaming kernel writes.  On a deep adaptive forward one
-   triangular solve replaces the loop
+1. the numerics: the forward's level loop computes sigma and ``S`` level
+   by level, recording each level's index lists -- the rows that are
+   active, the elements each streaming kernel writes.  On a deep adaptive
+   forward one triangular solve replaces the loop
    (:func:`repro.core.forward._forward_solve`), and the lists are slices
-   of its level-major vertex order;
+   of its level-major vertex order (:class:`LevelDAG`).  The backward
+   computes delta in one sweep over that DAG
+   (:func:`repro.core.backward._sweep`);
 2. a replay issues the stage's launches, dispatch decisions, spans and
    telemetry in the pipeline's order.  Under the adaptive dispatcher its
    cost inputs come from the tables here: O(n + m) array passes over the
@@ -23,25 +25,66 @@ and which columns a gather writes, and only the recorded lists stay exact.
 active rows are the previous level's discovered list and its written
 columns its own.)
 
-A static algorithm runs its kernel's entry point in the numerics loop
-itself, against a recorder, and the replay launches the recorded stats.
-Under the adaptive dispatcher, a level whose gather picks ``tcspmm`` is
-priced from the tables; any other level runs the chosen strategy's entry
-point.  The backward levels are planned before their numerics, so that
-entry point runs in the numerics loop too.  The forward levels are planned
-after theirs, so it runs in the replay, on the level's reconstructed
-operands, which are exact: the frontier is sigma on the previous level's
-discovered list, and the allowed columns are the vertices discovered at
-this level or later.  Where the solve gave sigma, that replay call is the
-level's only product.
+A static algorithm's forward runs its kernel's entry point in the level
+loop itself, against a recorder, and the replay launches the recorded
+stats.  Under the adaptive dispatcher, a level whose gather picks
+``tcspmm`` is priced from the tables.  Any other level, and every backward
+level of a static algorithm, runs its kernel's entry point in the replay,
+on the level's reconstructed operands, which are exact.  In the forward
+the frontier is sigma on the previous level's discovered list, and the
+allowed columns are the vertices discovered at this level or later.  In
+the backward ``x`` is ``delta_u`` on the final delta: delta on the depth-d
+slice is final once level d + 1 has run.  Where the solve gave sigma, or
+the sweep delta, that replay call is the level's only product.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.gpusim import warp as W
 from repro.spmv.tcspmm import _tc_stats, level_tile_stats
+
+
+class LevelDAG(NamedTuple):
+    """One source's BFS DAG, level-major.
+
+    ``perm`` lists the reached vertices level by level, ascending by id
+    within a level, with level ``d`` at ``perm[bounds[d]:bounds[d + 1]]``;
+    a vertex's *rank* is its position in ``perm``.  Row ``j`` (vertex
+    ``perm[j]``) holds the ranks of its children one level down at
+    ``child[indptr[j]:indptr[j + 1]]``, ascending: the stored entries
+    ``(perm[j], c)`` of ``push_operator()`` whose ``c`` is one level down,
+    in storage order.  That is the order in which the engine accumulates a
+    child's sigma into its gather sum (column ``c``'s rows ascending) and a
+    parent's dependency sum, gathered (undirected) or scattered (row ``r``'s
+    columns ascending).
+    """
+
+    perm: np.ndarray
+    bounds: np.ndarray
+    indptr: np.ndarray
+    child: np.ndarray
+
+
+def level_dag(push, perm: np.ndarray, bounds: np.ndarray) -> LevelDAG:
+    """The :class:`LevelDAG` of the level-major vertex order ``perm``
+    (levels split at ``bounds``) over the row-major operator ``push``.
+    Every column of a reached vertex's row is reached, so only the ranks
+    and levels of ``perm`` are read."""
+    n = push.shape[0]
+    lev = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    level = np.empty(n, dtype=np.int64)
+    level[perm] = lev
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(perm.size)
+    rows = push[perm]
+    keep = level[rows.indices] == np.repeat(lev + 1, np.diff(rows.indptr))
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return LevelDAG(perm, bounds, kept[rows.indptr], rank[rows.indices[keep]])
 
 
 def flatten(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +120,7 @@ class SpmvLevels:
     last level at which column ``c`` may be written (``None``: all
     columns, every level).  ``operands(k)`` rebuilds the level's exact
     ``(x, allowed)``.  ``stats[k]`` is the level's ``KernelStats`` once
-    known -- recorded by an entry point in the numerics loop, or priced
+    known -- recorded by an entry point in the forward loop, or priced
     from the tables -- and ``None`` where the replay runs the entry point.
 
     Under the adaptive dispatcher the levels are planned at construction

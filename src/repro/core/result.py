@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is standalone)
+    from repro.core.levels import LevelDAG
     from repro.obs.telemetry import RunTelemetry
 
 
@@ -33,6 +34,9 @@ class BFSResult:
         The vertex lists :func:`~repro.core.forward.bfs_forward` recorded
         for levels ``1 .. depth + 1`` (the last one empty), sorted; the
         backward stage walks them.  ``None`` on host-side copies.
+    dag:
+        The level-major BFS DAG where the forward solve built it, for the
+        backward stage to reuse; ``None`` otherwise.
     """
 
     source: int
@@ -41,6 +45,7 @@ class BFSResult:
     depth: int
     frontier_sizes: list[int] = field(default_factory=list)
     discovered: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
+    dag: LevelDAG | None = field(default=None, repr=False, compare=False)
 
     @property
     def reached(self) -> np.ndarray:

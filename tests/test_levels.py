@@ -16,12 +16,13 @@ import pytest
 from repro import Graph
 from repro.core import frontier as FK
 from repro.core.context import TurboBCContext
-from repro.core.backward import _backward_numerics, _planned_rows
+from repro.core.backward import _dag, _planned_rows, _sweep, _written_counts
 from repro.core.forward import _forward_numerics, bfs_forward, levels_of
 from repro.core.levels import SpmvLevels
 from repro.gpusim import warp as W
 from repro.gpusim.device import Device
 from repro.graphs.generators.road import road_network_graph
+from repro.spmv import _spmm
 from repro.spmv.tcspmm import active_tile_stats, stripe_any, tcspmm_spmv
 from tests.conftest import random_graph
 
@@ -79,7 +80,7 @@ def _live_forward(ctx, source):
         depth += 1
         allowed = sigma == 0
         levels.append((x.copy(), allowed))
-        ft, _, _ = ctx.product("forward", x, allowed)
+        ft, _, _ = ctx.product(x, allowed)
         x, touched = FK.frontier_update(ft, sigma, S, depth, masked_spmv=ctx.mask_fused)
         if not touched.size:
             return levels
@@ -106,7 +107,7 @@ def test_forward_tables_match_per_level_formulas(name):
         ctx = TurboBCContext(Device(), graph, "adaptive", forward_dtype=fdt)
         live = _live_forward(ctx, source)
         sigma, S, f = ctx.alloc_forward()
-        discovered, active, written, recorded = _forward_numerics(ctx, source, sigma, S, f)
+        discovered, active, written, recorded, _ = _forward_numerics(ctx, source, sigma, S, f)
         assert recorded == [None] * len(discovered)  # the engine ran every level
         if name.endswith("int32"):
             assert (sigma < 0).any()  # the attempt wrapped
@@ -157,16 +158,21 @@ def test_forward_tables_match_per_level_formulas(name):
 
 
 def _live_backward(ctx, fwd):
-    """The old level-by-level backward loop: each level's ``delta_u``."""
+    """The old level-by-level backward loop on the SpMV engine: each level's
+    ``delta_u`` and positive-sum count (``None`` for a digraph's scatter),
+    and the final ``delta``."""
     sigma = fwd.sigma
     delta = np.zeros(ctx.graph.n, dtype=ctx.backward_dtype)
-    xs = []
+    scatter = ctx.graph.directed
+    xs, written = [], []
     for d in range(fwd.depth, 1, -1):
         delta_u, _ = FK.delta_u(sigma, delta, fwd.discovered[d - 1])
         xs.append(delta_u)
-        delta_ut, _, _ = ctx.product("backward", delta_u)
-        FK.delta_update(sigma, delta, delta_ut, fwd.discovered[d - 2])
-    return xs, delta
+        p = _spmm.product(ctx.matrix, delta_u, batched=False, scatter=scatter,
+                          need="" if scatter else "written")
+        written.append(p.written)
+        FK.delta_update(sigma, delta, p.y, fwd.discovered[d - 2])
+    return xs, delta, written
 
 
 @pytest.mark.parametrize("name", ["undirected", "digraph", "road-like", "road-12x12",
@@ -176,7 +182,7 @@ def test_backward_plan_matches_per_level_formulas(name):
     ctx = TurboBCContext(Device(), graph, "adaptive", forward_dtype=np.float64,
                          backward_dtype=np.float32)
     fwd = bfs_forward(ctx, 0)
-    xs, want_delta = _live_backward(ctx, fwd)
+    xs, want_delta, want_written = _live_backward(ctx, fwd)
     planned = _planned_rows(fwd.sigma, np.float32, fwd.discovered, fwd.depth)
     for rows, x in zip(planned, xs):
         assert rows.tolist() == np.flatnonzero(x > 0).tolist()
@@ -185,10 +191,18 @@ def test_backward_plan_matches_per_level_formulas(name):
     underflowed = np.count_nonzero(fwd.sigma[discovered] > 2.0**150)
     assert underflowed if name == "diamonds-155" else not underflowed
     delta, _, _ = ctx.swap_to_backward()
-    spmv = SpmvLevels(ctx, "backward", planned, None, delta.dtype, lambda k: (xs[k], None))
-    _, written = _backward_numerics(ctx, fwd.sigma, delta, fwd.discovered, fwd.depth, spmv)
-    spmv.price(written)
+
+    def operands(k):  # as accumulate_dependencies rebuilds them for the replay
+        return FK.delta_u(fwd.sigma, delta, fwd.discovered[fwd.depth - k - 1])[0], None
+
+    spmv = SpmvLevels(ctx, "backward", planned, None, delta.dtype, operands)
+    push = ctx.matrix.push_operator()
+    _sweep(_dag(push, fwd), fwd.sigma, delta, scatter=graph.directed)
     assert delta.tobytes() == want_delta.tobytes()
+    if not graph.directed:
+        written = _written_counts(push, planned, fwd.levels, fwd.depth)
+        assert written.tolist() == want_written
+        spmv.price(written)
     check = TurboBCContext(Device(), graph, "adaptive").dispatcher
     table = ctx._kernels("backward")
     csc = ctx.matrix
@@ -197,8 +211,11 @@ def test_backward_plan_matches_per_level_formulas(name):
         want = check._decide("backward", active_rows=rows, allowed=None, dtype=x.dtype)
         assert spmv.decisions[k] == want and spmv.decisions[k].est_us == want.est_us
         assert spmv.priced[k] == (want.kernel == "tcspmm" and not graph.directed)
-        # every level's stats are known before the replay: recorded or priced
-        assert spmv.stats[k] == table[want.kernel](Device(), csc, x)[1].stats
+        # priced levels are known before the replay; the replay runs the
+        # entry point of the others on operands(k), which are the level's x
+        assert operands(k)[0].tobytes() == x.tobytes()
+        entry = table[want.kernel](Device(), csc, x)[1].stats
+        assert spmv.stats[k] == (entry if spmv.priced[k] else None)
     if name == "road-12x12":
         assert any(spmv.priced)
 
