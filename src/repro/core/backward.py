@@ -50,7 +50,9 @@ def accumulate_dependencies(ctx: TurboBCContext, fwd: BFSResult) -> np.ndarray:
         spmv = SpmvLevels(ctx, "backward", active, None, delta.dtype, operands)
         _sweep(_dag(push, fwd), sigma, delta, scatter=ctx.graph.directed)
         if any(spmv.priced):
-            spmv.price(_written_counts(push, active, fwd.levels, depth))
+            # only the priced levels' counts are read: the others count nothing
+            rows = [a if priced else a[:0] for a, priced in zip(active, spmv.priced)]
+            spmv.price(_written_counts(push, rows, fwd.levels, depth))
         _replay_backward(ctx, slices, depth, spmv)
     return delta
 

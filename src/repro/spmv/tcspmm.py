@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.formats.base import distinct_sorted
 from repro.formats.csc import CSCMatrix
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch, KernelStats
@@ -109,15 +110,6 @@ def active_tile_stats(
     return stats
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values (``np.unique``'s sort path; its default hash
-    path is ~20x slower on these 10^4-element keys)."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
 def level_tile_stats(
     csc: CSCMatrix, row_level: np.ndarray, col_level: np.ndarray | None, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -141,8 +133,8 @@ def level_tile_stats(
         return out
     n_row_stripes = -(-csc.n_rows // W.MMA_TILE)
     n_col_stripes = -(-csc.n_cols // W.MMA_TILE)
-    pairs = _distinct(row_level[rows].astype(np.int64) * n_row_stripes
-                      + rows // W.MMA_TILE)
+    pairs = distinct_sorted(row_level[rows].astype(np.int64) * n_row_stripes
+                            + rows // W.MMA_TILE)
     p_level, p_stripe = pairs // n_row_stripes, pairs % n_row_stripes
     if csc._tile_row_order is None:
         order = np.argsort(t_row, kind="stable")

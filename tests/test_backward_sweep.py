@@ -11,6 +11,7 @@ from repro.core import bc as bc_mod
 from repro.core.context import TurboBCContext
 from repro.core.forward import bfs_forward
 from repro.graphs.generators.road import road_network_graph
+from repro.graphs.generators.smallworld import small_world_graph
 from repro.graphs.generators.webgraph import preferential_attachment_digraph
 from repro.spmv import _spmm
 from tests.conftest import random_graph
@@ -130,3 +131,33 @@ def test_priced_backward_makes_no_engine_product(monkeypatch):
                    forward_dtype=np.float64, batch_size=1)
     assert len(dags) == 2 and any(calls)  # each level's entry point, in the replay
     assert np.array_equal(res.bc, ref.bc)
+
+
+def test_written_counts_of_priced_levels_ignore_unpriced_rows(monkeypatch):
+    """The backward counts written sums over the priced levels' rows alone;
+    on a small-world graph, where adaptive prices some backward levels and
+    not others, each priced count equals the count over every level's rows."""
+    g = small_world_graph(2_000, k=10, rewire_p=0.08, seed=1)
+    planned_rows, written_counts, replay = (BW._planned_rows, BW._written_counts,
+                                            BW._replay_backward)
+    active, counted, priced = [], [], []
+
+    def counts(push, rows, S, depth):
+        # S is the context's level array: count over every level's rows now
+        got = written_counts(push, rows, S, depth)
+        counted.append((rows, got, written_counts(push, active[-1], S, depth)))
+        return got
+
+    monkeypatch.setattr(BW, "_planned_rows",
+                        lambda *a: active.append(planned_rows(*a)) or active[-1])
+    monkeypatch.setattr(BW, "_written_counts", counts)
+    monkeypatch.setattr(BW, "_replay_backward",
+                        lambda ctx, sl, depth, spmv: priced.append(np.array(spmv.priced))
+                        or replay(ctx, sl, depth, spmv))
+    turbo_bc(g, sources=[0, 1_000], algorithm="adaptive", device=Device(),
+             forward_dtype=np.float64, batch_size=1)
+    assert len(counted) == len(priced) == 2
+    for (rows, got, full), p in zip(counted, priced):
+        assert p.any() and not p.all()
+        assert not any(r.size for r, k in zip(rows, p) if not k)
+        assert np.array_equal(got[p], full[p]) and not got[~p].any()

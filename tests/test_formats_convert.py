@@ -41,6 +41,56 @@ class TestCanonicalEdges:
             convert.canonical_edges([0, 1], [0], 3)
 
 
+def _lexsort_reference(src, dst, drop_self_loops):
+    """Column-major order by ``np.lexsort`` on (dst, src), then dedup."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if drop_self_loops:
+        src, dst = src[src != dst], dst[src != dst]
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    keep = np.ones(src.size, dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    return src[keep].tolist(), dst[keep].tolist()
+
+
+TOP = 2**31 - 1
+
+
+class TestCanonicalOrder:
+    """``canonical_edges`` (one int64 key per arc) against a lexsort reference."""
+
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_arcs_match_lexsort(self, seed, drop):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(1, 400))
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        # duplicates and self-loops
+        src = np.concatenate([src, src[: m // 3], np.arange(min(n, 5))])
+        dst = np.concatenate([dst, dst[: m // 3], np.arange(min(n, 5))])
+        self._check(src, dst, n, drop)
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_ids_at_the_int32_limit(self, drop):
+        rng = np.random.default_rng(7)
+        ids = np.array([0, 1, 2, TOP - 2, TOP - 1, TOP])
+        src, dst = rng.choice(ids, 200), rng.choice(ids, 200)
+        self._check(src, dst, 2**33, drop)
+
+    @pytest.mark.parametrize("src,dst", [([], []), ([3], [1]), ([2], [2]), ([TOP], [0])])
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_empty_and_single_arc(self, src, dst, drop):
+        self._check(src, dst, 2**31, drop)
+
+    def _check(self, src, dst, n, drop):
+        out = convert.canonical_edges(src, dst, n, drop_self_loops=drop)
+        want = _lexsort_reference(src, dst, drop)
+        for got, ref in zip(out, want):
+            assert got.dtype == np.int32 and got.flags.c_contiguous
+            assert got.tolist() == ref
+
+
 class TestBuilders:
     SRC = [0, 0, 1, 3, 2, 2]
     DST = [1, 2, 3, 0, 1, 1]  # one duplicate (2,1)

@@ -118,7 +118,34 @@ class TestEdgeList:
         empty = io.read_edge_list(path)
         assert (empty.n, empty.m) == (0, 0)
 
-    @pytest.mark.parametrize("line", ["5", "0 x", "0 1.5", "1.0 2", "0 1e3"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_comments_match_a_python_reference_parse(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        lines = []
+        for _ in range(300):
+            u, v = rng.integers(0, 50, 2).tolist()
+            gap = rng.choice([" ", "\t", "  ", " \t "])
+            lines.append(rng.choice([
+                f"{u}{gap}{v}",
+                f"{u}{gap}{v}{gap}{rng.integers(9)}",        # an extra column
+                f"{u}{gap}{v}%x {rng.integers(9)}",          # % right after a digit
+                f"{u}{gap}{v} # trailing {rng.integers(9)}",
+                f"\t{u}{gap}{v}\t% trailing",
+                f"# {u} {v}", f"% {u} {v}", f"%{u}", "#", "", "   ",
+            ]))
+        text = "\r\n".join(lines) + "\r\n\r\n\n"
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        want = []
+        for line in text.splitlines():
+            fields = line.split("#")[0].split("%")[0].split()
+            if fields:
+                want.append((int(fields[0]), int(fields[1])))
+        g = io.read_edge_list(path, n=50, directed=True)
+        ref = Graph.from_edges(want, 50, directed=True)
+        assert np.array_equal(g.src, ref.src) and np.array_equal(g.dst, ref.dst)
+
+    @pytest.mark.parametrize("line", ["5", "5 % 6", "0 x", "0 1.5", "1.0 2", "0 1e3"])
     def test_malformed_line_raises_value_error(self, tmp_path, line):
         path = tmp_path / "g.txt"
         path.write_text(f"0 1\n{line}\n2 3\n")

@@ -22,6 +22,7 @@ from repro.core.incremental import (
     DynamicBC,
     edit_affected_mask,
 )
+from repro.formats.convert import canonical_edges
 from repro.formats.edits import apply_edge_edits, cooc_apply_edits, csc_apply_edits
 from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.graph import Graph
@@ -282,10 +283,26 @@ class TestCacheInvalidation:
         assert not hasattr(g2, "_scf_cache")
         assert scale_free_metric(g2) != scf
 
-    def test_format_level_edits_match_graph_rebuild(self):
+    @pytest.mark.parametrize("script", [
+        "add-and-remove", "remove-absent", "add-present", "remove-and-re-add",
+        "grow-n", "out-of-range-removal", "remove-all-of-a-column",
+    ])
+    def test_format_level_edits_match_graph_rebuild(self, script):
         g = _random_graph(22, directed=True)
-        added = np.array([[0, 13], [5, 2]])
-        removed = np.array([[g.src[0], g.dst[0]]])
+        stored = np.column_stack([g.src, g.dst])
+        dense = g.to_csc().to_dense()
+        absent = next([u, v] for u in range(g.n) for v in range(g.n)
+                      if u != v and not dense[u, v])
+        added, removed = {
+            "add-and-remove": ([[0, 13], [5, 2]], stored[:1]),
+            "remove-absent": ([[0, 13]], [absent]),
+            "add-present": (stored[3:5], stored[7:8]),
+            "remove-and-re-add": (stored[2:4], stored[2:4]),
+            "grow-n": ([[g.n + 6, 1], [2, g.n]], stored[-2:]),
+            "out-of-range-removal": ([[1, 2]], [[g.n + 40, 0], [0, 2**40]]),
+            "remove-all-of-a-column": ([], stored[g.dst == g.dst[0]]),
+        }[script]
+        added, removed = np.array(added).reshape(-1, 2), np.array(removed).reshape(-1, 2)
         g2 = g.apply_edits(added=added, removed=removed)
         csc2 = csc_apply_edits(g.to_csc(), added, removed)
         cooc2 = cooc_apply_edits(g.to_cooc(), added, removed)
@@ -307,6 +324,75 @@ class TestCacheInvalidation:
         assert n == 5
         assert list(zip(out_src.tolist(), out_dst.tolist())) == [
             (0, 1), (4, 1), (0, 3)]
+
+
+def _rebuilt(src, dst, n, added, removed, drop):
+    """The edited edge list built from scratch: a set of arcs, then
+    ``canonical_edges``."""
+    arcs = set(zip(np.asarray(src).tolist(), np.asarray(dst).tolist()))
+    arcs -= {tuple(e) for e in np.asarray(removed).reshape(-1, 2).tolist()}
+    arcs |= {tuple(e) for e in np.asarray(added).reshape(-1, 2).tolist()}
+    n = max([n] + [max(u, v) + 1 for u, v in arcs])
+    src, dst = (np.array([e[i] for e in arcs], dtype=np.int64) for i in (0, 1))
+    return (*canonical_edges(src, dst, n, drop_self_loops=drop), n)
+
+
+class TestEdgeSplice:
+    """``apply_edge_edits`` splices edits into the canonical order; its
+    arrays equal a rebuild of the edited edge list from scratch."""
+
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_scripts_match_rebuild(self, seed, canonical, drop):
+        rng = _rng(seed, canonical, drop)
+        n = int(rng.integers(2, 30))
+        src, dst = rng.integers(0, n, 80), rng.integers(0, n, 80)
+        if canonical:
+            src, dst = canonical_edges(src, dst, n, drop_self_loops=drop)
+        for _ in range(4):
+            k = int(rng.integers(0, 6))
+            stored = np.column_stack([src, dst])
+            removed = np.concatenate([
+                stored[rng.integers(0, max(stored.shape[0], 1), k)] if stored.size
+                else np.zeros((0, 2), dtype=np.int64),
+                rng.integers(0, n + 3, (k, 2)),        # mostly absent, some out of range
+            ])
+            added = np.concatenate([
+                rng.integers(0, n + 2, (k, 2)),       # may grow n or add a self-loop
+                removed[: k // 2],                    # removed and re-added
+                stored[: k // 2],                     # already present
+            ])
+            want = _rebuilt(src, dst, n, added, removed, drop)
+            got = apply_edge_edits(src, dst, n, added, removed, drop_self_loops=drop)
+            assert got[2] == want[2]
+            for a, b in zip(got[:2], want[:2]):
+                assert a.dtype == np.int32 and np.array_equal(a, b)
+            src, dst, n = got
+
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("added,removed", [
+        ([], [[3, 0]]),                 # remove an absent arc
+        ([[1, 0]], []),                 # add a present arc
+        ([[1, 0]], [[1, 0]]),           # remove and re-add a present arc
+        ([[2, 1]], [[2, 1]]),           # remove and add an absent arc
+        ([[2, 2]], []),                 # add a self-loop
+        ([], [[9, 9], [0, 2**40]]),     # out-of-range removals
+        ([[7, 2]], []),                 # grow n
+    ])
+    def test_named_edits_match_rebuild(self, added, removed, drop):
+        src, dst = np.array([1, 2, 0], dtype=np.int32), np.array([0, 0, 1], dtype=np.int32)
+        got = apply_edge_edits(src, dst, 3, np.array(added).reshape(-1, 2),
+                               np.array(removed).reshape(-1, 2), drop_self_loops=drop)
+        want = _rebuilt(src, dst, 3, added, removed, drop)
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("arc", [[2**31, 0], [0, 2**31], [2**32 + 1, 1]])
+    def test_added_id_past_int32_raises(self, arc):
+        src, dst = np.array([1], dtype=np.int32), np.array([0], dtype=np.int32)
+        with pytest.raises(ValueError, match="too large for int32"):
+            apply_edge_edits(src, dst, 2, np.array([arc]), np.zeros((0, 2)))
 
 
 class TestObservability:
