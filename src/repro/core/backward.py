@@ -5,10 +5,13 @@ recurrence (Eq. 4) with three kernel launches per level (the Figure 2
 pipeline): build ``delta_u`` from the depth-d slice, one SpMV, then fold
 the weighted result into ``delta`` on the depth-(d-1) slice.
 
-The per-source stage computes delta first, in one sweep over the source's
-level-major BFS DAG (:func:`_sweep`, DESIGN.md §7 "Backward delta as one
-sweep"), and then replays those launches from level tables
-(:mod:`repro.core.levels`).  The batched stage launches as it goes.
+Both stages compute delta first and then launch the levels through one
+replay (:func:`_replay_backward`) at their width.  The per-source stage
+computes it in one sweep over the source's level-major BFS DAG
+(:func:`_sweep`, DESIGN.md §7 "Backward delta as one sweep") and prices
+its products from level tables (:mod:`repro.core.levels`); the batched
+stage runs the level loop on ``(n, B)`` matrices, deciding each level's
+kernel and recording its stats as it goes.
 """
 
 from __future__ import annotations
@@ -41,20 +44,23 @@ def accumulate_dependencies(ctx: TurboBCContext, fwd: BFSResult) -> np.ndarray:
         # slices[d - 1]: the vertices at depth d, as the forward stage found them
         slices = fwd.discovered
         push = ctx.matrix.push_operator()
-
-        def operands(k):
-            # delta on the depth-d slice is final once level d + 1 has run
-            return FK.delta_u(sigma, delta, slices[depth - k - 1])[0], None
-
         active = _planned_rows(sigma, delta.dtype, slices, depth)
-        spmv = SpmvLevels(ctx, "backward", active, None, delta.dtype, operands)
+        spmv = SpmvLevels(ctx, "backward", _operands(sigma, delta, slices, depth))
+        spmv.plan(active, None, delta.dtype)
         _sweep(_dag(push, fwd), sigma, delta, scatter=ctx.graph.directed)
         if any(spmv.priced):
             # only the priced levels' counts are read: the others count nothing
             rows = [a if priced else a[:0] for a, priced in zip(active, spmv.priced)]
             spmv.price(_written_counts(push, rows, fwd.levels, depth))
-        _replay_backward(ctx, slices, depth, spmv)
+        _replay_backward(ctx, (sigma.size, *list_costs(slices)), depth, spmv)
     return delta
+
+
+def _operands(sigma, delta, slices, depth):
+    """``operands(k)``: the ``(x, None)`` of the ``k``-th level launched,
+    depth ``depth - k``.  ``x`` is ``delta_u`` on the final delta: delta on
+    the depth-d slice is final once level d + 1 has run."""
+    return lambda k: (FK.delta_u(sigma, delta, slices[depth - k - 1])[0], None)
 
 
 def _planned_rows(sigma, dtype, slices, depth) -> list[np.ndarray]:
@@ -136,15 +142,21 @@ def _written_counts(push, active, S, depth) -> np.ndarray:
     return np.bincount(launch, minlength=len(active))
 
 
-def _replay_backward(ctx, slices, depth, spmv) -> None:
-    """Launch the computed levels: per level ``delta_u``, the SpMV and the
-    ``delta`` update, each level in its own span.  A level the tables did
-    not price runs its kernel's entry point here, on ``spmv.operands``."""
-    walk = range(depth, 1, -1)
-    n = ctx.graph.n
-    scales = FK.delta_u_costs(n, *list_costs([slices[d - 1] for d in walk]))
-    updates = FK.delta_update_costs(n, *list_costs([slices[d - 2] for d in walk]))
-    for k, d in enumerate(walk):
+def _replay_backward(ctx, costs, depth, spmv) -> None:
+    """Launch the computed levels: per level ``delta_u``, the product and
+    the ``delta`` update, each level in its own span.
+
+    ``costs`` holds the kernels' thread count ``n * B`` and, at index
+    ``d - 1``, the depth-d slice's size and gather transactions:
+    ``delta_u`` writes the depth-d slice and the update the depth-(d-1)
+    one.  A level whose stats are unknown runs its kernel's entry point
+    here, on ``spmv.operands``.
+    """
+    threads, sizes, txn = costs
+    walk = np.arange(depth, 1, -1)
+    scales = FK.delta_u_costs(threads, sizes[walk - 1], txn[walk - 1])
+    updates = FK.delta_update_costs(threads, sizes[walk - 2], txn[walk - 2])
+    for k, d in enumerate(walk.tolist()):
         tag = f"d={d}"
         with obs.span("level", depth=d) as sp:
             ctx.device.launch(scales[k], tag=tag)
@@ -163,21 +175,18 @@ def accumulate_dependencies_batch(ctx: TurboBCContext, fwd: BatchedBFSResult) ->
     the deeper levels, so its delta column stays exactly zero until the walk
     reaches its own depth -- from where it proceeds identically to the
     per-source :func:`accumulate_dependencies`.  Per-lane results are
-    bit-identical to the sequential stage.
+    bit-identical to the sequential stage.  Each level's ``delta_u``, its
+    product (:meth:`SpmvLevels.product`) and the ``delta`` update are
+    computed first; the replay launches them, with the slices' sizes and
+    the gather transactions the forward stage counted.
     """
     with obs.span("backward", sources=fwd.sources, batch=fwd.batch_size, phase="backward"):
         Delta, _Delta_u, _Delta_ut = ctx.swap_to_backward()
-        Sigma, slices = fwd.sigma, fwd.discovered
-        for d in range(fwd.depth, 1, -1):
-            tag = f"d={d}"
-            with obs.span("level", depth=d) as sp:
-                Delta_u, _ = FK.delta_u_batch_kernel(ctx.device, Sigma, Delta, slices[d - 1],
-                                                     tag=tag)
-                Delta_ut, _ = ctx.spmm_backward(
-                    Delta_u.astype(ctx.backward_dtype, copy=False), tag=tag
-                )
-                if ctx.dispatcher is not None:
-                    sp.set(**ctx.dispatcher.last.span_attrs())
-                FK.delta_update_batch_kernel(ctx.device, Sigma, Delta, Delta_ut, slices[d - 2],
-                                             tag=tag)
+        Sigma, slices, depth = fwd.sigma, fwd.discovered, fwd.depth
+        spmv = SpmvLevels(ctx, "backward", _operands(Sigma, Delta, slices, depth))
+        for d in range(depth, 1, -1):
+            Delta_u, _ = FK.delta_u(Sigma, Delta, slices[d - 1])
+            FK.delta_update(Sigma, Delta, spmv.product(Delta_u, None), slices[d - 2])
+        sizes = np.array([flat.size for flat in slices])
+        _replay_backward(ctx, (Sigma.size, sizes, fwd.txn), depth, spmv)
     return Delta

@@ -25,6 +25,7 @@ from repro.core.result import BCResult, BCRunStats, BFSResult
 from repro.core.validate import resolve_sources
 from repro.graphs.graph import Graph
 from repro.graphs.metrics import SCF_IRREGULAR_THRESHOLD, scale_free_metric
+from repro.gpusim import warp as W
 from repro.gpusim.device import Device
 from repro.gpusim.errors import DeviceOutOfMemoryError
 from repro.obs import telemetry as obs
@@ -395,8 +396,8 @@ def _bc_source(ctx: TurboBCContext, s: int, *, capture, keep: bool, tag: str,
         if fwd.depth > 1:
             delta = accumulate_dependencies(ctx, fwd)
             FK.bc_update_kernel(
-                ctx.device, ctx.bc_arr.data, delta, s, undirected=not graph.directed,
-                tag=tag,
+                ctx.device, ctx.bc_arr.data, delta[:, None], [s],
+                undirected=not graph.directed, tag=tag,
             )
         if capture is not None:
             # `scale * delta` is bitwise the addend the fold kernel just
@@ -437,12 +438,13 @@ def _bc_batch(
             for j in np.flatnonzero(over):
                 fwd.depths[j] = 0
             fwd.discovered = [flat[~over[flat % len(chunk)]] for flat in fwd.discovered]
+            fwd.txn = np.array([W.gather_transactions(flat) for flat in fwd.discovered])
         depths = {s: fwd.depths[j] for j, s in enumerate(chunk) if not over[j]}
         kept = fwd.lane(len(chunk) - 1) if keep and not over[-1] else None
         delta = None
         if fwd.depth > 1:
             delta = accumulate_dependencies_batch(ctx, fwd)
-            FK.bc_update_batch_kernel(
+            FK.bc_update_kernel(
                 ctx.device, ctx.bc_arr.data, delta, chunk,
                 undirected=not graph.directed, skip=over if over.any() else None,
                 tag=f"s={chunk[0]}..{chunk[-1]}",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import spmv
 from repro.core.dispatch import AdaptiveDispatcher, DIRECTIONS
 from repro.formats.coo import COOCMatrix
 from repro.formats.csc import CSCMatrix
@@ -20,33 +21,8 @@ from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArena
 from repro.obs import telemetry as obs
+from repro.perf.memory_model import turbobc_arena_slab_bytes
 from repro.spmv import _spmm as M
-from repro.spmv import (
-    edgecsc_spmm,
-    edgecsc_spmm_scatter,
-    edgecsc_spmv,
-    edgecsc_spmv_scatter,
-    pullcsc_spmm,
-    pullcsc_spmm_scatter,
-    pullcsc_spmv,
-    pullcsc_spmv_scatter,
-    sccooc_spmm,
-    sccooc_spmm_scatter,
-    sccooc_spmv,
-    sccooc_spmv_scatter,
-    sccsc_spmm,
-    sccsc_spmm_scatter,
-    sccsc_spmv,
-    sccsc_spmv_scatter,
-    tcspmm_spmm,
-    tcspmm_spmm_scatter,
-    tcspmm_spmv,
-    tcspmm_spmv_scatter,
-    veccsc_spmm,
-    veccsc_spmm_scatter,
-    veccsc_spmv,
-    veccsc_spmv_scatter,
-)
 
 #: Kernel name -> (storage format attribute, mask fused into the SpMV?)
 #: ``adaptive`` stores CSC (the paper's ``7n + m`` discipline) and re-picks
@@ -63,47 +39,39 @@ ALGORITHMS = {
     "adaptive": ("csc", True),
 }
 
-#: Adaptive strategy name -> kernel function, per product shape.
-_ADAPTIVE_SPMV = {
-    "sccooc": edgecsc_spmv,
-    "sccsc": sccsc_spmv,
-    "veccsc": veccsc_spmv,
-    "pullcsc": pullcsc_spmv,
-    "tcspmm": tcspmm_spmv,
-}
-_ADAPTIVE_SPMV_SCATTER = {
-    "sccooc": edgecsc_spmv_scatter,
-    "sccsc": sccsc_spmv_scatter,
-    "veccsc": veccsc_spmv_scatter,
-    "pullcsc": pullcsc_spmv_scatter,
-    "tcspmm": tcspmm_spmv_scatter,
-}
-_ADAPTIVE_SPMM = {
-    "sccooc": edgecsc_spmm,
-    "sccsc": sccsc_spmm,
-    "veccsc": veccsc_spmm,
-    "pullcsc": pullcsc_spmm,
-    "tcspmm": tcspmm_spmm,
-}
-_ADAPTIVE_SPMM_SCATTER = {
-    "sccooc": edgecsc_spmm_scatter,
-    "sccsc": sccsc_spmm_scatter,
-    "veccsc": veccsc_spmm_scatter,
-    "pullcsc": pullcsc_spmm_scatter,
-    "tcspmm": tcspmm_spmm_scatter,
-}
+#: Adaptive strategy -> the :mod:`repro.spmv` kernel that runs it over CSC
+#: (the thread-per-edge ``sccooc`` strategy is edgeCSC).
+_STRATEGY_KERNEL = {"sccooc": "edgecsc", "sccsc": "sccsc", "veccsc": "veccsc",
+                    "pullcsc": "pullcsc", "tcspmm": "tcspmm"}
 
-#: Static CSC algorithm -> kernel function, per product shape (the
-#: ``sccooc`` algorithm runs over the COOC format and keeps its own
-#: branches below).
+
+def _entry_points(product: str) -> dict:
+    """Adaptive strategy -> its ``product`` entry point (``spmv``,
+    ``spmv_scatter``, ``spmm`` or ``spmm_scatter``)."""
+    return {k: getattr(spmv, f"{kernel}_{product}") for k, kernel in _STRATEGY_KERNEL.items()}
+
+
+_ADAPTIVE_SPMV = _entry_points("spmv")
+_ADAPTIVE_SPMV_SCATTER = _entry_points("spmv_scatter")
+_ADAPTIVE_SPMM = _entry_points("spmm")
+_ADAPTIVE_SPMM_SCATTER = _entry_points("spmm_scatter")
+#: (``(n, B)`` operand?, scatter?) -> the adaptive strategies' entry points.
+_ADAPTIVE = {
+    (False, False): _ADAPTIVE_SPMV,
+    (False, True): _ADAPTIVE_SPMV_SCATTER,
+    (True, False): _ADAPTIVE_SPMM,
+    (True, True): _ADAPTIVE_SPMM_SCATTER,
+}
+#: The same keys -> the ``sccooc`` algorithm's entry point over COOC.
+_SCCOOC = {
+    (False, False): spmv.sccooc_spmv,
+    (False, True): spmv.sccooc_spmv_scatter,
+    (True, False): spmv.sccooc_spmm,
+    (True, True): spmv.sccooc_spmm_scatter,
+}
+#: Static CSC algorithm -> its per-source gather; the benchmark's tests
+#: check that none of these stays wrapped after a traced run.
 _STATIC_SPMV = {k: _ADAPTIVE_SPMV[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")}
-_STATIC_SPMV_SCATTER = {
-    k: _ADAPTIVE_SPMV_SCATTER[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")
-}
-_STATIC_SPMM = {k: _ADAPTIVE_SPMM[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")}
-_STATIC_SPMM_SCATTER = {
-    k: _ADAPTIVE_SPMM_SCATTER[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")
-}
 
 
 class _StatsRecorder:
@@ -192,20 +160,16 @@ class TurboBCContext:
     # (DESIGN.md §10): one device allocation sized to the per-source peak
     # serves every source/batch of the run, so the allocator sees zero
     # alloc/free traffic after the first source.  The slab is
-    # max(forward chunk, backward chunk) bytes -- exactly the old per-phase
+    # turbobc_arena_slab_bytes: max(forward chunk, backward chunk) bytes of
+    # the footprint model -- exactly the old per-phase
     # maximum, so the run peak (and the paper's 7n + 1 + m accounting) is
     # byte-identical to per-source allocation.
 
     def _ensure_arena(self, batch: int) -> DeviceArena:
         if self._arena is None:
-            n = self.graph.n
-            fwd = self.forward_dtype.itemsize
-            bwd = self.backward_dtype.itemsize
-            forward_chunk = batch * n * (3 * fwd + 4)        # f, ft, sigma + S
-            backward_chunk = batch * n * (fwd + 4 + 3 * bwd)  # sigma, S + deltas
-            self._arena = DeviceArena(
-                self.device.memory, max(forward_chunk, backward_chunk)
-            )
+            self._arena = DeviceArena(self.device.memory, turbobc_arena_slab_bytes(
+                self.graph.n, batch, self.forward_dtype.itemsize,
+                self.backward_dtype.itemsize))
         return self._arena
 
     def _carve(self, shape, blocks) -> list:
@@ -301,16 +265,74 @@ class TurboBCContext:
             self.device.memory.free(arr)
         return bc
 
-    # -- adaptive launch + dispatch audit -------------------------------------
+    # -- products -------------------------------------------------------------
+    #
+    # Every stage computes its levels first and then replays their launches
+    # (core/levels.py, DESIGN.md §7 "Numerics, then costs"): ``product`` is
+    # a level's numerics and ``launch_spmv`` its launch, at any width.
 
-    def _adaptive_launch(self, table: dict, kernel: str, x, *, allowed=None, tag=""):
-        """Launch the chosen adaptive strategy and record its measured time."""
-        kwargs = {"tag": tag} if allowed is None else {"tag": tag, "allowed": allowed}
-        result, launch = table[kernel](self.device, self.matrix, x, **kwargs)
-        self._record_measured(table, kernel, launch, lambda: (x, allowed))
-        return result, launch
+    def _kernels(self, stage: str, batched: bool) -> dict:
+        """Kernel name -> entry point of ``stage``'s product over a vector,
+        or with ``batched`` an ``(n, B)`` operand: the line-19 gather, or
+        the line-37 product, which on digraphs is the scatter ``A x`` of the
+        same stored format, so dependencies flow against edge direction (the
+        paper's single-format discipline; see DESIGN.md on this pseudocode
+        correction)."""
+        key = (batched, stage == "backward" and self.graph.directed)
+        if self.algorithm == "sccooc":
+            return {"sccooc": _SCCOOC[key]}
+        table = _ADAPTIVE[key]
+        return table if self.dispatcher is not None else {self.algorithm: table[self.algorithm]}
 
-    def _record_measured(self, table: dict, kernel: str, launch, operands) -> None:
+    def _entry(self, device, stage: str, kernel: str, x, allowed, **kwargs):
+        """Run ``kernel``'s entry point of ``stage`` on ``device`` for the
+        operand ``x``; the gather masks by ``allowed`` where the kernel
+        fuses the mask, and the COOC kernel leaves it to the update
+        kernel."""
+        if allowed is not None and self.mask_fused:
+            kwargs["allowed"] = allowed
+        return self._kernels(stage, x.ndim == 2)[kernel](device, self.matrix, x, **kwargs)
+
+    def product(self, stage: str, x: np.ndarray, allowed: np.ndarray | None = None,
+                *, kernel: str | None = None):
+        """The numerics of one level's product of ``stage``, without a launch.
+
+        Returns ``(y, n_written, stats)`` for a vector or ``(n, B)`` operand
+        ``x``.  With a ``kernel``, its entry point runs against a recorder,
+        so ``stats`` is the level's exact ``KernelStats`` for the replay to
+        launch.  Without one (a per-source forward level under the
+        dispatcher) the SpMV engine computes ``y`` alone: ``stats`` is
+        ``None`` and ``n_written`` counts the positive sums for the level
+        tables.  Every kernel of the stage computes this ``y``.
+        """
+        if kernel is not None:
+            y, stats = self._entry(self._recorder, stage, kernel, x, allowed)
+            return y, None, stats
+        p = M.product(self.matrix, x, batched=False, allowed=allowed, need="written")
+        return p.y, p.written, None
+
+    def launch_spmv(self, stage: str, operands, *, kernel: str | None = None,
+                    stats=None, tag: str = "") -> KernelLaunch:
+        """Launch one level's product of ``stage``.
+
+        ``kernel`` is the adaptive strategy (the static algorithm's kernel
+        otherwise).  ``stats`` is the level's ``KernelStats`` when the
+        numerics recorded it or the level tables priced it; otherwise the
+        kernel's entry point runs on ``operands()``, the level's exact
+        ``(x, allowed)``, which is also what a dispatch audit replays.
+        """
+        kernel = kernel or self.algorithm
+        if stats is not None:
+            launch = self.device.launch(stats, tag=tag)
+        else:
+            _, launch = self._entry(self.device, stage, kernel, *operands(), tag=tag)
+        if self.dispatcher is not None:
+            self._record_measured(stage, kernel, launch, operands)
+        return launch
+
+    # -- dispatch audit ---------------------------------------------------------
+
+    def _record_measured(self, stage: str, kernel: str, launch, operands) -> None:
         """Attach ``launch``'s measured time to the current decision.
 
         Under ``RunTelemetry(audit_dispatch=True)`` the *unchosen* strategies
@@ -326,12 +348,11 @@ class TurboBCContext:
         self.dispatcher.record_measured(kernel, launch)
         tel = obs.get_telemetry()
         if tel is not None and tel.audit_dispatch:
-            self._audit_replay(table, kernel, *operands())
+            self._audit_replay(stage, kernel, *operands())
 
-    def _audit_replay(self, table: dict, chosen: str, x, allowed) -> None:
+    def _audit_replay(self, stage: str, chosen: str, x, allowed) -> None:
         if self._shadow is None:
             self._shadow = Device(self.device.spec)
-        kwargs = {} if allowed is None else {"allowed": allowed}
         prev = obs.get_telemetry()
         obs.deactivate()
         try:
@@ -339,113 +360,11 @@ class TurboBCContext:
             # forced direction narrows the candidate set, and regret is only
             # meaningful against candidates the dispatcher could have chosen.
             candidates = set(self.dispatcher.last.est_us)
-            for kernel, fn in table.items():
+            for kernel in self._kernels(stage, x.ndim == 2):
                 if kernel == chosen or kernel not in candidates:
                     continue
-                _, launch = fn(self._shadow, self.matrix, x, **kwargs)
+                _, launch = self._entry(self._shadow, stage, kernel, x, allowed)
                 self.dispatcher.record_measured(kernel, launch)
         finally:
             if prev is not None:
                 obs.activate(prev)
-
-    # -- per-source products ---------------------------------------------------
-    #
-    # The per-source stages compute every level first (the forward loop
-    # through ``product``, the backward in one sweep) and then replay the
-    # launches (``launch_spmv``) from their level tables (core/levels.py,
-    # DESIGN.md §7 "Numerics, then costs").
-
-    def _kernels(self, stage: str) -> dict:
-        """Kernel name -> per-source entry point of ``stage``'s product:
-        the line-19 gather, or the line-37 product, which on digraphs is the
-        scatter ``A x`` of the same stored format, so dependencies flow
-        against edge direction (the paper's single-format discipline; see
-        DESIGN.md on this pseudocode correction)."""
-        scatter = stage == "backward" and self.graph.directed
-        if self.algorithm == "adaptive":
-            return _ADAPTIVE_SPMV_SCATTER if scatter else _ADAPTIVE_SPMV
-        if self.algorithm == "sccooc":
-            return {"sccooc": sccooc_spmv_scatter if scatter else sccooc_spmv}
-        return _STATIC_SPMV_SCATTER if scatter else _STATIC_SPMV
-
-    def product(self, x: np.ndarray, allowed: np.ndarray | None = None,
-                *, kernel: str | None = None):
-        """The numerics of one forward level's product, without a launch.
-
-        Returns ``(y, n_written, stats)``.  The gather masks by ``allowed``
-        (``sigma == 0``) where the kernel fuses the mask; the COOC kernel
-        leaves it to the update kernel.  With a ``kernel``, its entry point
-        runs against a recorder, so ``stats`` is the level's exact
-        ``KernelStats`` for the replay to launch.  Without one the SpMV
-        engine computes ``y`` alone: ``stats`` is ``None`` and
-        ``n_written`` counts the positive sums for the level tables.  Every
-        kernel of the stage computes this ``y``.
-        """
-        if kernel is not None:
-            kwargs = {"allowed": allowed} if allowed is not None and self.mask_fused else {}
-            y, stats = self._kernels("forward")[kernel](self._recorder, self.matrix, x, **kwargs)
-            return y, None, stats
-        p = M.product(self.matrix, x, batched=False, allowed=allowed, need="written")
-        return p.y, p.written, None
-
-    def launch_spmv(self, stage: str, operands, *, kernel: str | None = None,
-                    stats=None, tag: str = "") -> KernelLaunch:
-        """Launch one level's per-source product of ``stage``.
-
-        ``kernel`` is the adaptive strategy (the static algorithm's kernel
-        otherwise).  ``stats`` is the level's ``KernelStats`` when the
-        numerics recorded it or the level tables priced it; otherwise the
-        kernel's entry point runs on ``operands()``, the level's exact
-        ``(x, allowed)``, which is also what a dispatch audit replays.
-        """
-        table = self._kernels(stage)
-        kernel = kernel or self.algorithm
-        if stats is not None:
-            launch = self.device.launch(stats, tag=tag)
-        else:
-            x, allowed = operands()
-            kwargs = {"tag": tag} if allowed is None else {"tag": tag, "allowed": allowed}
-            _, launch = table[kernel](self.device, self.matrix, x, **kwargs)
-        if self.dispatcher is not None:
-            self._record_measured(table, kernel, launch, operands)
-        return launch
-
-    # -- SpMM dispatch (batched) ----------------------------------------------
-
-    def spmm_forward(
-        self, X: np.ndarray, Sigma: np.ndarray, active: np.ndarray, *, tag: str = ""
-    ) -> tuple[np.ndarray, KernelLaunch]:
-        """Batched line-19 product ``Ft = A^T F`` over all batch lanes.
-
-        CSC kernels fuse the per-(column, lane) ``sigma == 0`` mask ANDed
-        with the lane-active bitmap, so drained lanes cost nothing; the COOC
-        kernel is unmasked (drained lanes have all-zero frontier columns).
-        """
-        if self.algorithm == "sccooc":
-            return sccooc_spmm(self.device, self.matrix, X, tag=tag)
-        allowed = (Sigma == 0) & active[None, :]
-        if self.algorithm == "adaptive":
-            kernel = self.dispatcher.choose_forward_batch(X, allowed)
-            return self._adaptive_launch(
-                _ADAPTIVE_SPMM, kernel, X, allowed=allowed, tag=tag
-            )
-        return _STATIC_SPMM[self.algorithm](
-            self.device, self.matrix, X, allowed=allowed, tag=tag
-        )
-
-    def spmm_backward(self, X: np.ndarray, *, tag: str = "") -> tuple[np.ndarray, KernelLaunch]:
-        """Batched line-37 product; same gather/scatter split as
-        the per-source :meth:`product`."""
-        if self.algorithm == "adaptive":
-            kernel = self.dispatcher.choose_backward_batch(X)
-            table = _ADAPTIVE_SPMM_SCATTER if self.graph.directed else _ADAPTIVE_SPMM
-            return self._adaptive_launch(table, kernel, X, tag=tag)
-        if self.graph.directed:
-            if self.algorithm == "sccooc":
-                return sccooc_spmm_scatter(self.device, self.matrix, X, tag=tag)
-            return _STATIC_SPMM_SCATTER[self.algorithm](
-                self.device, self.matrix, X, tag=tag
-            )
-        if self.algorithm == "sccooc":
-            return sccooc_spmm(self.device, self.matrix, X, tag=tag)
-        return _STATIC_SPMM[self.algorithm](self.device, self.matrix, X, tag=tag)

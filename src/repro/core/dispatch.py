@@ -32,7 +32,7 @@ with a binary search on ``CP_A``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -455,15 +455,19 @@ class AdaptiveDispatcher:
         self.last = decision
         return decision
 
-    def _decide(
-        self,
-        stage: str,
-        *,
-        active_rows: np.ndarray,
-        allowed: np.ndarray | None,
-        dtype,
-        batch: int = 1,
-    ) -> DispatchDecision:
+    def decide(self, stage: str, ahead: int, x: np.ndarray,
+               allowed: np.ndarray | None) -> DispatchDecision:
+        """The decision of one level's product of the operand ``x`` (a
+        vector, or ``(n, B)`` with one lane per column) under the
+        ``allowed`` mask (``None``: every column), not recorded.  ``ahead``
+        counts the levels of the same stage run decided before it and not
+        yet recorded, so the depth is the one it takes when the levels are
+        recorded in order."""
+        if x.ndim == 2:
+            active_rows, batch = lane_any(x > 0), x.shape[1]
+            allowed = None if allowed is None else lane_any(allowed)
+        else:
+            active_rows, batch = x > 0, 1
         nnz_x = int(np.count_nonzero(active_rows))
         e_active = int(self.rowdeg[active_rows].sum()) if nnz_x else 0
         if allowed is None:
@@ -481,44 +485,31 @@ class AdaptiveDispatcher:
         (decision,) = self.plan(
             stage, nnz_x=nnz_x, e_active=e_active, s_allowed=s_allowed,
             n_allowed=n_allowed, max_deg_allowed=dmax, tiles_active=tiles_active,
-            tile_nnz_active=tile_nnz_active, tile_chain=tile_chain, dtype=dtype,
+            tile_nnz_active=tile_nnz_active, tile_chain=tile_chain, dtype=x.dtype,
             batch=batch,
         )
-        return self.record(decision)
+        return replace(decision, depth=decision.depth + ahead) if ahead else decision
 
-    # -- per-launch choices (called by TurboBCContext) -----------------------
+    def _decide(self, stage: str, x: np.ndarray, allowed: np.ndarray | None) -> DispatchDecision:
+        return self.record(self.decide(stage, 0, x, allowed))
+
+    # -- one-level choices, recorded as they are made -------------------------
 
     def choose_forward(self, x: np.ndarray, allowed: np.ndarray) -> str:
         """Kernel for a forward-stage masked gather ``ft = A^T f``."""
-        return self._decide(
-            "forward", active_rows=x > 0, allowed=allowed, dtype=x.dtype,
-        ).kernel
+        return self._decide("forward", x, allowed).kernel
 
     def choose_backward(self, x: np.ndarray) -> str:
         """Kernel for a backward-stage unmasked product (gather or scatter)."""
-        return self._decide(
-            "backward", active_rows=x > 0, allowed=None, dtype=x.dtype,
-        ).kernel
+        return self._decide("backward", x, None).kernel
 
     def choose_forward_batch(self, X: np.ndarray, allowed: np.ndarray) -> str:
         """Kernel for a batched forward masked gather ``Ft = A^T F``."""
-        return self._decide(
-            "forward",
-            active_rows=lane_any(X > 0),
-            allowed=lane_any(allowed),
-            dtype=X.dtype,
-            batch=X.shape[1],
-        ).kernel
+        return self._decide("forward", X, allowed).kernel
 
     def choose_backward_batch(self, X: np.ndarray) -> str:
         """Kernel for a batched backward unmasked product."""
-        return self._decide(
-            "backward",
-            active_rows=lane_any(X > 0),
-            allowed=None,
-            dtype=X.dtype,
-            batch=X.shape[1],
-        ).kernel
+        return self._decide("backward", X, None).kernel
 
     def record_measured(self, kernel: str, launch) -> None:
         """Attach the measured modeled time of ``kernel`` to the last decision.

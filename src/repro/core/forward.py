@@ -4,19 +4,22 @@ Level-synchronous masked-SpMV BFS: each iteration multiplies the frontier
 vector by :math:`A^T`, masks out already-discovered vertices (``sigma != 0``)
 and folds the surviving path counts into ``sigma`` while stamping discovery
 depths into ``S``.  Two kernel launches per level, exactly as in the
-Figure 2 pipeline: the (init+)SpMV kernel and the update kernel.  The
-per-source stage computes its levels first and replays their launches
-from level tables (:mod:`repro.core.levels`); the batched stage launches
-as it goes.  Both stages record each level's discovered list (vertex ids,
-or row-major flat indices of the ``(n, B)`` arrays), which is the slice
-the backward stage walks.
+Figure 2 pipeline: the (init+)SpMV kernel and the update kernel.  Both
+stages, per source and batched, compute their levels first and then
+launch them through one replay (:func:`_replay_forward`,
+:mod:`repro.core.levels`) at their width.  Both record each level's
+discovered list (vertex ids, or row-major flat indices of the ``(n, B)``
+arrays), which is the slice the backward stage walks.
 
 The per-source numerics take one of two routes to the same bits.  The
 level loop (:func:`_forward_numerics`) runs one product and one frontier
 update per level.  On a deep BFS under the adaptive dispatcher, one sparse
 triangular solve over the BFS DAG gives sigma instead
 (:func:`_forward_solve`, DESIGN.md §7 "Forward sigma as one solve"), and
-the level lists the replay needs come from the solve's vertex order.
+the level lists the replay needs come from the solve's vertex order.  The
+batched numerics (:func:`_forward_numerics_batch`) run one masked SpMM of
+every lane per level; the dispatcher decides each level there, and the
+replay records the decisions as it launches the levels.
 
 One pseudocode correction (documented in DESIGN.md §2): the printed
 Algorithm 1 never clears frontier entries of discovered vertices; the
@@ -25,6 +28,8 @@ what makes the loop terminate.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import __version__ as _scipy_version
@@ -36,6 +41,7 @@ from repro.core import frontier as FK
 from repro.core.context import TurboBCContext
 from repro.core.levels import SpmvLevels, label, level_dag, list_costs
 from repro.core.result import BatchedBFSResult, BFSResult
+from repro.gpusim import warp as W
 from repro.obs import telemetry as obs
 
 
@@ -82,10 +88,14 @@ def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
 
     tel = obs.get_telemetry()
     with obs.span("forward", source=source, phase="forward"):
-        *recorded, dag = (_forward_solve(ctx, source, sigma, S)
-                          or _forward_numerics(ctx, source, sigma, S, f))
-        _replay_forward(ctx, source, sigma, *recorded, tel)
-        discovered = recorded[0]
+        discovered, active, written, stats, dag = (
+            _forward_solve(ctx, source, sigma, S) or _forward_numerics(ctx, source, sigma, S, f))
+        found, operands = _frontier_operands(ctx, sigma, discovered, source, None)
+        spmv = SpmvLevels(ctx, "forward", operands).plan(active, found(), sigma.dtype)
+        spmv.stats = stats
+        spmv.price(written)
+        sizes, txn = list_costs(discovered)
+        _replay_forward(ctx, spmv, sizes[:, None], txn, False, tel)
         depth = len(discovered) - 1  # the last level discovered nothing (line 29)
         if tel is not None and tel.metrics is not None:
             tel.metrics.histogram("bfs_depth").record(depth)
@@ -129,7 +139,7 @@ def _forward_numerics(ctx, source, sigma, S, f):
     depth = 0
     while True:
         depth += 1
-        ft, n_written, level_stats = ctx.product(x, sigma == 0, kernel=kernel)
+        ft, n_written, level_stats = ctx.product("forward", x, sigma == 0, kernel=kernel)
         x, touched = FK.frontier_update(ft, sigma, S, depth, masked_spmv=ctx.mask_fused)
         discovered.append(touched)
         written.append(n_written)
@@ -214,31 +224,55 @@ def _forward_solve(ctx, source, sigma, S):
     return discovered, lists, written, [None] * len(discovered), dag
 
 
-def _replay_forward(ctx, source, sigma, discovered, active, written, stats, tel) -> None:
-    """Launch the recorded levels: init, then per level the SpMV, the update
-    kernel and the readback, each level in its own span."""
-    n = ctx.graph.n
-    device = ctx.device
-    levels = len(discovered)
-    # discovery level: 0 for the source, ``levels`` for the undiscovered
-    found = levels_of(discovered, n, levels, source)
+def _frontier_operands(ctx, sigma, discovered, roots, lanes):
+    """``found()``, the discovery level of every element of ``sigma`` (0
+    at the ``roots``, ``len(discovered)`` where never discovered), built on
+    first use, and ``operands(k)``, level ``k``'s exact ``(x, allowed)``
+    rebuilt from the recorded lists: ``x`` is sigma on the previous level's
+    list, and the allowed elements are those discovered at this level or
+    later, in the lanes that discovered something at the previous level
+    (``lanes[k - 1]`` of a batched stage)."""
+
+    @functools.cache
+    def found():
+        return levels_of(discovered, sigma.size, len(discovered), roots).reshape(sigma.shape)
 
     def operands(k):
-        prev = discovered[k - 1] if k else np.array([source])
-        x = np.zeros(n, dtype=sigma.dtype)
-        x[prev] = sigma[prev]
-        return x, (found >= k + 1 if ctx.mask_fused else None)
+        prev = discovered[k - 1] if k else roots
+        x = np.zeros_like(sigma)
+        np.put(x, prev, np.take(sigma, prev))
+        if not ctx.mask_fused:
+            return x, None
+        allowed = found() >= k + 1
+        if k and sigma.ndim == 2:
+            allowed &= lanes[k - 1] > 0
+        return x, allowed
 
-    spmv = SpmvLevels(ctx, "forward", active, found, sigma.dtype, operands)
-    spmv.stats = stats
-    spmv.price(written)
-    sizes, txn = list_costs(discovered)
-    updates = FK.frontier_update_costs(n, sizes, txn, masked_spmv=ctx.mask_fused)
-    visited = np.cumsum(sizes) + 1
+    return found, operands
+
+
+def _replay_forward(ctx, spmv, lanes, txn, batched, tel) -> None:
+    """Launch the computed levels: init, then per level the product, the
+    update kernel and the readback of the convergence flags, each level in
+    its own span.
+
+    ``lanes[k]`` holds level ``k``'s discoveries per lane (one column per
+    source of the stage) and ``txn[k]`` the gather transactions of its
+    discovered list.  The kernels run ``n * B`` threads and the readback
+    reads ``B`` words.  A ``batched`` stage's level spans always carry the
+    lane-averaged densities and the number of lanes that discovered
+    something; a per-source level span carries its densities when it
+    discovered something.
+    """
+    n, B = ctx.graph.n, lanes.shape[1]
+    device = ctx.device
+    sizes = lanes.sum(axis=1)
+    updates = FK.frontier_update_costs(n * B, sizes, txn, masked_spmv=ctx.mask_fused)
+    visited = np.cumsum(sizes) + B
     metrics = tel.metrics if tel is not None else None
 
-    FK.init_source_kernel(device, n, tag="d=1")
-    for k in range(levels):
+    FK.init_sources_kernel(device, n, B, tag="d=1")
+    for k in range(len(lanes)):
         depth = k + 1
         tag = f"d={depth}"
         with obs.span("level", depth=depth) as sp:
@@ -246,20 +280,23 @@ def _replay_forward(ctx, source, sigma, discovered, active, written, stats, tel)
             if spmv.decisions is not None:
                 sp.set(**spmv.decisions[k].span_attrs())
             device.launch(updates[k], tag=tag)
-            size = int(sizes[k])
-            if size:
-                sp.set(**FK.level_density(size, int(visited[k]), n))
-                if metrics is not None:
+            got = lanes[k][lanes[k] > 0].tolist()
+            if batched or got:
+                sp.set(**FK.level_density(int(sizes[k]), int(visited[k]), n * B),
+                       **({"active_lanes": len(got)} if batched else {}))
+            if metrics is not None:
+                for size in got:
                     metrics.histogram("frontier_size").record(size)
-            # The host must read the convergence flag back each level to
+            # The host must read the convergence flags back each level to
             # decide whether to launch the next one.
-            device.sync_readback(tag=tag)
+            device.sync_readback(words=B, tag=tag)
 
 
-def levels_of(discovered, n: int, undiscovered: int, source: int) -> np.ndarray:
-    """Discovery level of every vertex from the recorded lists."""
-    found = label(discovered, n, fill=undiscovered)
-    found[source] = 0
+def levels_of(discovered, size: int, undiscovered: int, roots) -> np.ndarray:
+    """Discovery level of every element from the recorded lists: 0 at the
+    ``roots``, ``undiscovered`` where no list holds it."""
+    found = label(discovered, size, fill=undiscovered)
+    found[roots] = 0
     return found
 
 
@@ -269,8 +306,10 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
     One BFS lane per column of the ``(n, B)`` arrays; each level is a single
     masked SpMM plus one batched update kernel.  The batch runs until every
     lane's frontier has drained (the per-lane convergence bitmap), with
-    drained lanes masked out of the SpMM.  Per-lane results are bit-identical
-    to :func:`bfs_forward`.
+    drained lanes masked out of the SpMM.  The levels are computed first
+    (:func:`_forward_numerics_batch`) and then replayed as the pipeline's
+    launches by the per-source stage's replay.  Per-lane results are
+    bit-identical to :func:`bfs_forward`.
 
     Sigma overflow is reported per lane in the result's ``overflowed``
     bitmap instead of raising -- the driver re-runs only the affected
@@ -286,47 +325,18 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n = {n}")
     Sigma, S, F = ctx.alloc_forward(B)
+    roots = np.array(src, dtype=np.int64) * B + np.arange(B)  # (s_j, j), row-major
 
-    lanes = np.arange(B)
     tel = obs.get_telemetry()
     with obs.span("forward", sources=src, batch=B, phase="forward"):
-        F[src, lanes] = 1
-        Sigma[src, lanes] = 1
-        FK.init_sources_kernel(ctx.device, n, B, tag="d=1")
-
-        active = np.ones(B, dtype=bool)
-        depths = np.zeros(B, dtype=np.int64)
-        frontier_sizes: list[list[int]] = [[] for _ in range(B)]
-        discovered = []
-        depth = 0
-        while active.any():
-            depth += 1
-            tag = f"d={depth}"
-            with obs.span("level", depth=depth) as sp:
-                Ft, _ = ctx.spmm_forward(F, Sigma, active, tag=tag)
-                if ctx.dispatcher is not None:
-                    sp.set(**ctx.dispatcher.last.span_attrs())
-                newF, flat, new_per_lane, _ = FK.frontier_update_batch_kernel(
-                    ctx.device, Ft, Sigma, S, depth, masked_spmv=ctx.mask_fused, tag=tag
-                )
-                F[...] = newF
-                discovered.append(flat)
-                # One B-word readback serves the whole batch's convergence bitmap.
-                ctx.device.sync_readback(words=B, tag=tag)
-                got = new_per_lane > 0
-                for j in np.flatnonzero(got):
-                    size = int(new_per_lane[j])
-                    frontier_sizes[j].append(size)
-                    if tel is not None and tel.metrics is not None:
-                        tel.metrics.histogram("frontier_size").record(size)
-                sp.set(**FK.level_density(int(new_per_lane.sum()),
-                                          int(np.count_nonzero(Sigma)), Sigma.size),
-                       active_lanes=int(got.sum()))
-                depths[got] = depth
-                active &= got
+        spmv = SpmvLevels(ctx, "forward", None)
+        discovered, lanes, txn = _forward_numerics_batch(ctx, spmv, roots, Sigma, S, F)
+        _, spmv.operands = _frontier_operands(ctx, Sigma, discovered, roots, lanes)
+        _replay_forward(ctx, spmv, lanes, txn, True, tel)
+        depths = np.count_nonzero(lanes, axis=0)
         if tel is not None and tel.metrics is not None:
-            for d in depths:
-                tel.metrics.histogram("bfs_depth").record(int(d))
+            for d in depths.tolist():
+                tel.metrics.histogram("bfs_depth").record(d)
 
     if np.issubdtype(Sigma.dtype, np.signedinteger):
         overflowed = (Sigma < 0).any(axis=0)
@@ -336,8 +346,40 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
         sources=src,
         sigma=Sigma,
         levels=S,
-        depths=[int(d) for d in depths],
-        frontier_sizes=frontier_sizes,
+        depths=depths.tolist(),
+        frontier_sizes=[col[col > 0].tolist() for col in lanes.T],
         overflowed=overflowed,
         discovered=discovered,
+        txn=txn,
     )
+
+
+def _forward_numerics_batch(ctx, spmv, roots, Sigma, S, F):
+    """Batched lines 15-28: per level one product of every lane's frontier
+    (:meth:`SpmvLevels.product`: the level's decision and its entry point
+    against a recorder), masked where the kernel fuses the mask to the
+    undiscovered elements of the lanes still active, and the frontier
+    update.
+
+    Returns per level the discovered row-major flat list, the ``(levels,
+    B)`` per-lane discovery counts and each list's gather transactions,
+    counted once for the update kernel and both backward kernels.
+    """
+    B = Sigma.shape[1]
+    np.put(F, roots, 1)
+    np.put(Sigma, roots, 1)
+    X = F
+    active = np.ones(B, dtype=bool)
+    discovered, lanes, txn = [], [], []
+    while active.any():
+        allowed = (Sigma == 0) & active if ctx.mask_fused else None
+        Ft = spmv.product(X, allowed)
+        X, flat = FK.frontier_update(Ft, Sigma, S, len(discovered) + 1,
+                                     masked_spmv=ctx.mask_fused)
+        per_lane = np.bincount(flat % B, minlength=B)
+        discovered.append(flat)
+        lanes.append(per_lane)
+        txn.append(W.gather_transactions(flat))
+        active &= per_lane > 0
+    np.put(F, roots, 0)  # the drained frontier
+    return discovered, np.array(lanes), np.array(txn)

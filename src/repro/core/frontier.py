@@ -9,9 +9,10 @@ per source), so they are modeled here with the same transaction accounting
 as the SpMVs.
 
 Each streaming kernel is a numerics function plus a cost function of
-per-level counts: the per-source stages run the numerics for every level
-and then charge all levels with one cost call (:mod:`repro.core.levels`);
-the batch kernels below run both for one ``(n, B)`` level and launch.
+per-level counts: a stage, per source or batched, runs the numerics for
+every level and then charges all levels with one cost call as its replay
+launches them (:mod:`repro.core.levels`).  The init and ``bc`` fold
+kernels launch at once, for any number of lanes.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def _stream_stats(
 #
 # The numerics work on flat index lists of any width: a per-source vector,
 # or an ``(n, B)`` matrix read in row-major order (one lane per column).
-# The cost functions take per-level counts, so a per-source traversal
-# charges all its levels in one call and the batch kernels one level.
+# The cost functions take per-level counts and the thread count ``n * B``,
+# so a traversal of any width charges all its levels in one call.
 
 
 def frontier_update(
@@ -143,22 +144,11 @@ def delta_update_costs(threads: int, updated, updated_txn):
     )
 
 
-def init_source_kernel(device: Device, n: int, *, tag: str = "") -> KernelLaunch:
-    """Set ``f[s] = 1`` and ``sigma[s] = 1`` (Algorithm 1 lines 15-18)."""
-    stats = KernelStats(
-        name="bfs_init",
-        threads=1,
-        warp_cycles=2,
-        dram_write_bytes=2 * W.TRANSACTION_BYTES,
-        requested_load_bytes=0,
-    )
-    return device.launch(stats, tag=tag)
-
-
 def init_sources_kernel(
     device: Device, n: int, batch: int, *, tag: str = ""
 ) -> KernelLaunch:
-    """Batched lines 15-18: ``F[s_j, j] = 1``, ``Sigma[s_j, j] = 1``."""
+    """Lines 15-18 for ``batch`` lanes: ``F[s_j, j] = 1`` and
+    ``Sigma[s_j, j] = 1`` (a per-source stage is one lane)."""
     stats = KernelStats(
         name="bfs_init",
         threads=batch,
@@ -169,77 +159,7 @@ def init_sources_kernel(
     return device.launch(stats, tag=tag)
 
 
-def frontier_update_batch_kernel(
-    device: Device,
-    Ft: np.ndarray,
-    Sigma: np.ndarray,
-    S: np.ndarray,
-    depth: int,
-    *,
-    masked_spmv: bool,
-    tag: str = "",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, KernelLaunch]:
-    """Batched lines 20-27 (:func:`frontier_update` on ``(n, B)`` arrays).
-
-    One BFS lane per column: drained lanes have all-zero frontier columns,
-    so the update is a no-op for them.  Returns the new frontier matrix,
-    the sorted row-major flat indices it stamped (the level's slice, which
-    the backward stage walks), the per-lane count of newly discovered
-    vertices (the convergence bitmap is ``counts > 0``), and the launch
-    record.
-    """
-    n, B = Sigma.shape
-    F, flat = frontier_update(Ft, Sigma, S, depth, masked_spmv=masked_spmv)
-    new_per_lane = np.bincount(flat % B, minlength=B)
-    touched_txn = W.gather_transactions(flat) if flat.size else 0
-    (stats,) = frontier_update_costs(n * B, flat.size, touched_txn,
-                                     masked_spmv=masked_spmv)
-    return F, flat, new_per_lane, device.launch(stats, tag=tag)
-
-
-def delta_u_batch_kernel(
-    device: Device,
-    Sigma: np.ndarray,
-    Delta: np.ndarray,
-    level: np.ndarray,
-    *,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched lines 32-36 (:func:`delta_u` on the ``(n, B)`` depth-d slice).
-
-    ``level`` is the slice as sorted row-major flat indices, the list
-    :func:`frontier_update_batch_kernel` stamped at depth ``d``.  Lanes
-    whose BFS tree is shorter than ``d`` contribute no indices, so a batch
-    walks down from the deepest lane with shallow lanes riding along as
-    exact no-ops.
-    """
-    Delta_u, idx = delta_u(Sigma, Delta, level)
-    n, B = Sigma.shape
-    txn = W.gather_transactions(idx) if idx.size else 0
-    (stats,) = delta_u_costs(n * B, idx.size, txn)
-    return Delta_u, device.launch(stats, tag=tag)
-
-
-def delta_update_batch_kernel(
-    device: Device,
-    Sigma: np.ndarray,
-    Delta: np.ndarray,
-    Delta_ut: np.ndarray,
-    level: np.ndarray,
-    *,
-    tag: str = "",
-) -> KernelLaunch:
-    """Batched lines 38-40 (:func:`delta_update` on the ``(n, B)``
-    depth-(d-1) slice).  Mutates ``Delta`` in place.  ``level`` is that
-    slice as sorted row-major flat indices."""
-    delta_update(Sigma, Delta, Delta_ut, level)
-    n, B = Sigma.shape
-    txn = W.gather_transactions(level) if level.size else 0
-    (stats,) = delta_update_costs(n * B, level.size, txn)
-    return device.launch(stats, tag=tag)
-
-
-def bc_update_batch_kernel(
+def bc_update_kernel(
     device: Device,
     bc: np.ndarray,
     Delta: np.ndarray,
@@ -249,12 +169,16 @@ def bc_update_batch_kernel(
     skip: np.ndarray | None = None,
     tag: str = "",
 ) -> KernelLaunch:
-    """Batched lines 43-47: fold every batch lane's ``delta`` into ``bc``.
+    """Lines 43-47: fold each lane's ``delta`` column into ``bc``, for
+    every vertex but the lane's source.
 
-    Lanes are accumulated *in batch order* with the per-source kernel's
-    exact expression, so the float32 accumulation into ``bc`` matches the
-    sequential driver bit for bit.  ``skip`` masks out lanes whose sigma
-    overflowed (their re-run accumulates instead).
+    ``Delta`` holds one column per source (a per-source stage passes its
+    vector as one column).  Lanes are accumulated in batch order, each as
+    ``bc += scale * Delta[:, j]`` with ``bc[s]`` restored, so any batching
+    gives the sequential driver's float32 accumulation bit for bit.  For
+    undirected graphs the contribution is halved (Brandes' double-counting
+    compensation, Section 3.2).  ``skip`` masks out lanes whose sigma
+    overflowed (their re-run accumulates instead).  Mutates ``bc`` in place.
     """
     n = bc.size
     scale = 0.5 if undirected else 1.0
@@ -273,36 +197,6 @@ def bc_update_batch_kernel(
         write_txn=W.coalesced_transactions(n * folded),
         extra_cycles=n * folded,
         flops=n * folded,
-    )
-    return device.launch(stats, tag=tag)
-
-
-def bc_update_kernel(
-    device: Device,
-    bc: np.ndarray,
-    delta: np.ndarray,
-    source: int,
-    *,
-    undirected: bool,
-    tag: str = "",
-) -> KernelLaunch:
-    """Lines 43-47: accumulate ``bc += delta`` for every vertex but the source.
-
-    For undirected graphs the contribution is halved (Brandes'
-    double-counting compensation, Section 3.2).  Mutates ``bc`` in place.
-    """
-    n = bc.size
-    scale = 0.5 if undirected else 1.0
-    saved = bc[source]
-    bc += scale * delta
-    bc[source] = saved
-    (stats,) = _stream_stats(
-        "bc_update",
-        n,
-        read_words=2 * n,  # bc, delta
-        write_txn=W.coalesced_transactions(n),
-        extra_cycles=n,
-        flops=n,
     )
     return device.launch(stats, tag=tag)
 

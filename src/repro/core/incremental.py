@@ -52,7 +52,7 @@ class SourceState:
     """Retained forward/backward state of one source.
 
     ``contrib`` is exactly the addend ``scale * delta`` that
-    ``bc_update_kernel`` folded for this source (``None`` when the BFS tree
+    ``bc_update_kernel`` folded for this source's lane (``None`` when the BFS tree
     had depth <= 1 and the driver skipped the backward stage), so re-folding
     stored contributions reproduces the driver's float32 accumulation bit
     for bit.
@@ -430,13 +430,12 @@ class DynamicBC:
         """Re-fold per-source contributions with the fold kernel's exact
         expression and order -- the bit-identity linchpin.
 
-        ``bc_update_kernel`` runs ``saved = bc[s]; bc += scale * delta;
-        bc[s] = saved`` per source, in source order, into a zeroed
-        backward-dtype vector; ``contrib`` stores ``scale * delta``
-        verbatim, so replaying the same statements reproduces the driver's
-        accumulator to the bit (the batched fold is bit-identical to the
-        sequential one by the PR 5 invariant, so one replay covers every
-        batch size).
+        ``bc_update_kernel`` runs ``saved = bc[s]; bc += scale * Delta[:, j];
+        bc[s] = saved`` per lane ``j`` (source ``s``), in source order,
+        into a zeroed backward-dtype vector, at every batch size (a
+        per-source run folds one lane); ``contrib`` stores ``scale *
+        Delta[:, j]`` verbatim, so replaying the same statements reproduces
+        the driver's accumulator to the bit.
         """
         bc = np.zeros(n, dtype=np.dtype(self._backward_dtype))
         for s in order:

@@ -1,8 +1,13 @@
-"""Level tables: the cost side of a per-source stage, for all its levels.
+"""Level tables: the cost side of a stage, for all its levels.
 
-The per-source stages (:func:`repro.core.forward.bfs_forward`,
-:func:`repro.core.backward.accumulate_dependencies`) run in two parts
-(DESIGN.md §7, "Numerics, then costs"):
+Every stage computes its levels first and then replays their launches
+(DESIGN.md §7, "Numerics, then costs"); :class:`SpmvLevels` holds the
+product side of those levels for the replay at any width.  A batched
+stage decides each level and records its stats in its numerics
+(:meth:`SpmvLevels.product`).  The per-source stages
+(:func:`repro.core.forward.bfs_forward`,
+:func:`repro.core.backward.accumulate_dependencies`) plan theirs from the
+lists their numerics record:
 
 1. the numerics: the forward's level loop computes sigma and ``S`` level
    by level, recording each level's index lists -- the rows that are
@@ -113,40 +118,71 @@ def label(lists: list[np.ndarray], size: int, fill: int = 0) -> np.ndarray:
 
 
 class SpmvLevels:
-    """The SpMV side of a per-source stage's levels.
+    """The SpMV side of a stage's levels, in launch order.
 
-    ``active[k]`` lists the rows whose ``x`` entry is positive at the
-    stage's ``k``-th level (in launch order) and ``allowed_level[c]`` the
-    last level at which column ``c`` may be written (``None``: all
-    columns, every level).  ``operands(k)`` rebuilds the level's exact
-    ``(x, allowed)``.  ``stats[k]`` is the level's ``KernelStats`` once
-    known -- recorded by an entry point in the forward loop, or priced
-    from the tables -- and ``None`` where the replay runs the entry point.
+    ``operands(k)`` rebuilds level ``k``'s exact ``(x, allowed)``.
+    ``stats[k]`` is the level's ``KernelStats`` once known -- recorded by
+    an entry point in the numerics, or priced from the tables -- and
+    ``None`` where the replay runs the entry point.  ``decisions`` are the
+    dispatcher's (``None`` without one); :meth:`launch` records each as
+    its level launches.
 
-    Under the adaptive dispatcher the levels are planned at construction
-    from one pass over the lists: frontier sizes, degree mass, the allowed
-    side's degree mass, count and maximum, and the active tiles.  Levels
-    whose gather picks ``tcspmm`` (``priced``) get their ``KernelStats``
-    from the same tables (:meth:`price`); every other level's product runs
-    its kernel's entry point.
+    A batched stage adds its levels one at a time as its numerics run
+    (:meth:`product`); a per-source stage plans them all from its lists
+    (:meth:`plan`).
     """
 
-    def __init__(self, ctx, stage: str, active, allowed_level, dtype, operands):
+    def __init__(self, ctx, stage: str, operands):
         self.ctx = ctx
         self.stage = stage
-        self.allowed_level = allowed_level
-        self.dtype = dtype
         self.operands = operands
+        self.stats: list = []
+        self.kernels: list[str] = []
+        self.priced: list[bool] = []
+        self.decisions = None if ctx.dispatcher is None else []
+
+    def product(self, x: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
+        """One batched level's numerics: the dispatcher's decision for the
+        ``(n, B)`` operand ``x`` under the ``allowed`` mask, planned here
+        and recorded at launch, then the chosen entry point against the
+        context's recorder.  Returns the product."""
+        ctx = self.ctx
+        kernel = ctx.algorithm
+        if self.decisions is not None:
+            decision = ctx.dispatcher.decide(self.stage, len(self.decisions), x, allowed)
+            self.decisions.append(decision)
+            kernel = decision.kernel
+        y, _, stats = ctx.product(self.stage, x, allowed, kernel=kernel)
+        self.kernels.append(kernel)
+        self.stats.append(stats)
+        self.priced.append(False)
+        return y
+
+    def plan(self, active, allowed_level, dtype) -> "SpmvLevels":
+        """Plan a per-source stage's levels from their lists.
+
+        ``active[k]`` lists the rows whose ``x`` entry is positive at level
+        ``k`` and ``allowed_level[c]`` the last level at which column ``c``
+        may be written (``None``: all columns, every level).  Under the
+        adaptive dispatcher one pass over the lists gives every level's
+        frontier size, degree mass, the allowed side's degree mass, count
+        and maximum, and active tiles.  Levels whose gather picks
+        ``tcspmm`` (``priced``) get their ``KernelStats`` from the same
+        tables (:meth:`price`); every other level's product runs its
+        kernel's entry point.
+        """
+        ctx = self.ctx
         levels = len(active)
         self.stats = [None] * levels
         self.kernels = [ctx.algorithm] * levels
-        self.decisions = None
+        self.priced = [False] * levels
+        self.allowed_level = allowed_level
+        self.dtype = dtype
         #: Per-level cost inputs (arrays in launch order) of a planned stage.
         self.tables: dict[str, np.ndarray] = {}
         disp = ctx.dispatcher
         if disp is None or levels == 0:
-            self.priced = [False] * levels
-            return
+            return self
         csc = ctx.matrix
         self.row_level = label(active, csc.n_rows)
         t = self.tables
@@ -170,14 +206,15 @@ class SpmvLevels:
             t["s_allowed"] = np.cumsum(mass[::-1])[::-1][1:].astype(np.int64)
             t["dmax"] = np.maximum.accumulate(top[::-1])[::-1][1:]
         self.decisions = disp.plan(
-            stage, nnz_x=t["nnz_x"], e_active=t["e_active"],
+            self.stage, nnz_x=t["nnz_x"], e_active=t["e_active"],
             s_allowed=t["s_allowed"], n_allowed=t["n_allowed"],
             max_deg_allowed=t["dmax"], tiles_active=t["n_active"],
             tile_nnz_active=t["nnz_active"], tile_chain=t["chain"], dtype=dtype,
         )
         self.kernels = [d.kernel for d in self.decisions]
-        gather = stage == "forward" or not ctx.graph.directed
+        gather = self.stage == "forward" or not ctx.graph.directed
         self.priced = [gather and kernel == "tcspmm" for kernel in self.kernels]
+        return self
 
     def price(self, written) -> None:
         """``KernelStats`` of the priced levels, whose products wrote

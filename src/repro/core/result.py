@@ -78,6 +78,10 @@ class BatchedBFSResult:
         Per level ``1 .. depth + 1`` (the last one empty), the sorted
         row-major flat indices the forward stage stamped into ``levels``;
         the backward stage walks them.
+    txn:
+        Per level, the gather transactions of its ``discovered`` list,
+        counted once for the forward update kernel and both backward
+        kernels.
     """
 
     sources: list[int]
@@ -87,6 +91,7 @@ class BatchedBFSResult:
     frontier_sizes: list[list[int]]
     overflowed: np.ndarray
     discovered: list[np.ndarray] = field(repr=False, compare=False)
+    txn: np.ndarray = field(repr=False, compare=False)
 
     @property
     def batch_size(self) -> int:

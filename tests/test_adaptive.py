@@ -114,6 +114,23 @@ class TestDispatchObservability:
         assert dec.kernel == min(dec.est_us, key=dec.est_us.get)
         assert set(disp.kernel_mix()) <= set(STRATEGIES)
 
+    def test_decision_depths_across_batched_chunks(self):
+        """A chunk of isolated sources makes one forward level and no
+        backward, so the next chunk's forward numbers its levels on from
+        that level (the decision log's sequential launch index), and its
+        backward from 1.  Each decision holds the chosen kernel's time."""
+        path = Graph.from_edges([(i, i + 1) for i in range(5)], n=8, directed=False)
+        with obs.session() as tel:
+            turbo_bc(path, sources=[6, 7, 0, 5], algorithm="adaptive", batch_size=2)
+        got = [(d.stage, d.depth, d.kernel) for d in tel.dispatch_decisions]
+        assert got == (
+            [("forward", 1, "sccooc")]
+            + [("forward", d, "sccooc") for d in range(2, 6)]
+            + [("forward", 6, "pullcsc"), ("forward", 7, "sccsc")]
+            + [("backward", d, "sccooc") for d in range(1, 5)]
+        )
+        assert all(set(d.measured_us) == {d.kernel} for d in tel.dispatch_decisions)
+
 
 class TestArenaAccounting:
     """Satellite: one slab per run -- allocator traffic flat in #sources."""

@@ -29,18 +29,19 @@ def test_context_dispatch_tables_exist():
 def test_tracer_counts_one_driver_pass_per_run_at_every_width():
     """The benchmark looks ``repro.turbo_bc`` up after entering the tracer, so
     the wrapped entry point is the outermost call and counts the sources; the
-    run then passes once through each driver layer, whatever its width."""
+    run then passes once through each driver layer, whatever its width, and
+    its ``bc`` is the untraced run's bit for bit."""
     import repro
     from repro.graphs.generators.road import road_network_graph
 
     graph = road_network_graph(6, 6, segments=2, seed=3)
-    plain = repro.turbo_bc(graph, sources=[0, 5, 9], algorithm="adaptive")
     for batch in (1, 2):
+        plain = repro.turbo_bc(graph, sources=[0, 5, 9], algorithm="adaptive",
+                               batch_size=batch)
         with tracer.Tracer() as t:
             traced = repro.turbo_bc(graph, sources=[0, 5, 9], algorithm="adaptive",
                                     batch_size=batch)
         assert t.sources_requested == 3 and t.forward_passes == 3, batch
         for name in ("turbo_bc", "_turbo_bc_impl", "_turbo_bc_batched"):
             assert t.calls[f"core.bc.{name}"] == 1, (batch, name)
-        if batch == 1:
-            assert traced.bc.tobytes() == plain.bc.tobytes()
+        assert traced.bc.tobytes() == plain.bc.tobytes(), batch

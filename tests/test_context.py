@@ -153,7 +153,7 @@ class TestBackwardDispatch:
         ctx = TurboBCContext(Device(), graph, alg)
         x = rng.random(graph.n).astype(np.float64)
         expected = reference_spmv(graph.reverse().to_csc(), x)
-        kernels = ctx._kernels("backward")
+        kernels = ctx._kernels("backward", False)
         assert kernels
         for fn in kernels.values():
             y, launch = fn(Device(), ctx.matrix, x)

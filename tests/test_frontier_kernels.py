@@ -15,8 +15,12 @@ def device():
 
 class TestInitKernel:
     def test_records_launch(self, device):
-        FK.init_source_kernel(device, 100)
+        # one lane: the per-source stage's init
+        launch = FK.init_sources_kernel(device, 100, 1)
         assert device.profiler.kernel_names() == ["bfs_init"]
+        stats = launch.stats
+        assert (stats.threads, stats.warp_cycles, stats.dram_write_bytes) == (
+            1, 2, 2 * W.TRANSACTION_BYTES)
 
 
 class TestFrontierUpdate:
@@ -86,20 +90,26 @@ class TestBackwardKernels:
     def test_bc_update_excludes_source_and_halves(self, device):
         bc = np.zeros(3)
         delta = np.array([5.0, 4.0, 2.0])
-        FK.bc_update_kernel(device, bc, delta, 0, undirected=True)
+        launch = FK.bc_update_kernel(device, bc, delta[:, None], [0], undirected=True)
         assert bc.tolist() == [0.0, 2.0, 1.0]
+        # one lane is one n-thread streaming pass over bc and delta
+        (want,) = FK._stream_stats("bc_update", 3, read_words=6,
+                                   write_txn=W.coalesced_transactions(3),
+                                   extra_cycles=3, flops=3)
+        assert launch.stats == want
 
     def test_bc_update_directed_full_weight(self, device):
         bc = np.ones(3)
         delta = np.array([5.0, 4.0, 2.0])
-        FK.bc_update_kernel(device, bc, delta, 1, undirected=False)
+        FK.bc_update_kernel(device, bc, delta[:, None], [1], undirected=False)
         assert bc.tolist() == [6.0, 1.0, 3.0]
 
 
-# -- batched kernels ----------------------------------------------------------
-# Test-local copies of the boolean-mask formulas the batch kernels used before
+# -- batched levels -----------------------------------------------------------
+# Test-local copies of the boolean-mask formulas the batched stages used before
 # they moved to flat index lists, and of the one-level streaming-kernel stats;
-# values and every KernelStats field must match.
+# the numerics on an ``(n, B)`` level, and the cost functions of its counts at
+# ``n * B`` threads, must match values and every KernelStats field.
 
 
 def _stream_stats(name, n, *, read_words, sparse_writes, extra_cycles):
@@ -194,6 +204,10 @@ def _same_bytes(got, want):
     )
 
 
+def _launched(stats):
+    return Device().launch(stats)
+
+
 class TestBatchFrontierKernels:
     @pytest.mark.parametrize("B", (2, 8, 9))
     @pytest.mark.parametrize("sigma_dtype", (np.int32, np.float64))
@@ -201,9 +215,11 @@ class TestBatchFrontierKernels:
     def test_frontier_update_matches_mask_formula(self, B, sigma_dtype, masked_spmv):
         _, Sigma, S, Ft = _batch_state(B, sigma_dtype, seed=B)
         Sigma2, S2, Ft2 = Sigma.copy(), S.copy(), Ft.copy()
-        got_F, got_flat, got_counts, got = FK.frontier_update_batch_kernel(
-            Device(), Ft, Sigma, S, 5, masked_spmv=masked_spmv
-        )
+        got_F, got_flat = FK.frontier_update(Ft, Sigma, S, 5, masked_spmv=masked_spmv)
+        got_counts = np.bincount(got_flat % B, minlength=B)
+        (got,) = FK.frontier_update_costs(Sigma.size, got_flat.size,
+                                          W.gather_transactions(got_flat),
+                                          masked_spmv=masked_spmv)
         want_F, want_counts, want = _mask_frontier_update(
             Device(), Ft2, Sigma2, S2, 5, masked_spmv=masked_spmv
         )
@@ -212,18 +228,19 @@ class TestBatchFrontierKernels:
         _same_bytes(got_counts, want_counts)
         # the returned slice is exactly what was stamped at this depth
         np.testing.assert_array_equal(got_flat, np.flatnonzero(S == 5))
-        assert got.stats == want.stats
-        assert got.time_s == want.time_s
+        assert got == want.stats
+        assert _launched(got).time_s == want.time_s
 
     def test_frontier_update_empty_frontier(self):
         Sigma = np.ones((40, 8), dtype=np.int32)
         S = np.ones((40, 8), dtype=np.int32)
-        F, flat, counts, launch = FK.frontier_update_batch_kernel(
-            Device(), np.zeros((40, 8), np.int32), Sigma, S, 3, masked_spmv=True
-        )
+        F, flat = FK.frontier_update(np.zeros((40, 8), np.int32), Sigma, S, 3,
+                                     masked_spmv=True)
         assert flat.size == 0
-        assert counts.tolist() == [0] * 8
-        assert launch.stats.dram_write_bytes == 0
+        assert np.bincount(flat % 8, minlength=8).tolist() == [0] * 8
+        (stats,) = FK.frontier_update_costs(Sigma.size, flat.size,
+                                            W.gather_transactions(flat), masked_spmv=True)
+        assert stats.dram_write_bytes == 0
 
     @pytest.mark.parametrize("B", (2, 8, 9))
     @pytest.mark.parametrize("sigma_dtype", (np.int32, np.float64))
@@ -234,17 +251,21 @@ class TestBatchFrontierKernels:
         Delta[:, 1] = 0  # the overflow-zeroed lane carries no dependencies
         for depth in (4, 3, 2):
             level = np.flatnonzero(S == depth)
-            got_u, got = FK.delta_u_batch_kernel(Device(), Sigma, Delta, level)
+            got_u, written = FK.delta_u(Sigma, Delta, level)
+            (got,) = FK.delta_u_costs(Sigma.size, written.size,
+                                      W.gather_transactions(written))
             want_u, want = _mask_delta_u(Device(), S, Sigma, Delta, depth)
             _same_bytes(got_u, want_u)
-            assert got.stats == want.stats and got.time_s == want.time_s
+            assert got == want.stats and _launched(got).time_s == want.time_s
 
             Delta_ut = (rng.random(Sigma.shape) * 2).astype(delta_dtype)
             got_D, want_D = Delta.copy(), Delta.copy()
             level = np.flatnonzero(S == depth - 1)
-            got = FK.delta_update_batch_kernel(Device(), Sigma, got_D, Delta_ut, level)
+            FK.delta_update(Sigma, got_D, Delta_ut, level)
+            (got,) = FK.delta_update_costs(Sigma.size, level.size,
+                                           W.gather_transactions(level))
             want = _mask_delta_update(Device(), S, Sigma, want_D, Delta_ut, depth)
             _same_bytes(got_D, want_D)
-            assert got.stats == want.stats and got.time_s == want.time_s
+            assert got == want.stats and _launched(got).time_s == want.time_s
             Delta = got_D
         assert not Delta[:, 1].any()

@@ -80,7 +80,7 @@ def _live_forward(ctx, source):
         depth += 1
         allowed = sigma == 0
         levels.append((x.copy(), allowed))
-        ft, _, _ = ctx.product(x, allowed)
+        ft, _, _ = ctx.product("forward", x, allowed)
         x, touched = FK.frontier_update(ft, sigma, S, depth, masked_spmv=ctx.mask_fused)
         if not touched.size:
             return levels
@@ -119,7 +119,7 @@ def test_forward_tables_match_per_level_formulas(name):
             x[prev] = sigma[prev]
             return x, found >= k + 1
 
-        spmv = SpmvLevels(ctx, "forward", active, found, sigma.dtype, operands)
+        spmv = SpmvLevels(ctx, "forward", operands).plan(active, found, sigma.dtype)
         spmv.stats = recorded
         spmv.price(written)
         assert len(live) == len(discovered) == len(spmv.kernels)
@@ -141,8 +141,7 @@ def test_forward_tables_match_per_level_formulas(name):
             assert t["s_allowed"] == int(disp.deg[allowed].sum())
             assert t["n_allowed"] == int(allowed.sum())
             assert t["dmax"] == int(disp.deg[allowed].max(initial=0))
-            want = check._decide("forward", active_rows=rows, allowed=allowed,
-                                 dtype=x.dtype)
+            want = check._decide("forward", x, allowed)
             got = spmv.decisions[k]
             assert got == want and got.est_us == want.est_us
             assert [type(v) for v in got.est_us.values()] == [
@@ -195,7 +194,7 @@ def test_backward_plan_matches_per_level_formulas(name):
     def operands(k):  # as accumulate_dependencies rebuilds them for the replay
         return FK.delta_u(fwd.sigma, delta, fwd.discovered[fwd.depth - k - 1])[0], None
 
-    spmv = SpmvLevels(ctx, "backward", planned, None, delta.dtype, operands)
+    spmv = SpmvLevels(ctx, "backward", operands).plan(planned, None, delta.dtype)
     push = ctx.matrix.push_operator()
     _sweep(_dag(push, fwd), fwd.sigma, delta, scatter=graph.directed)
     assert delta.tobytes() == want_delta.tobytes()
@@ -204,11 +203,10 @@ def test_backward_plan_matches_per_level_formulas(name):
         assert written.tolist() == want_written
         spmv.price(written)
     check = TurboBCContext(Device(), graph, "adaptive").dispatcher
-    table = ctx._kernels("backward")
+    table = ctx._kernels("backward", False)
     csc = ctx.matrix
     for k, x in enumerate(xs):
-        rows = x > 0
-        want = check._decide("backward", active_rows=rows, allowed=None, dtype=x.dtype)
+        want = check._decide("backward", x, None)
         assert spmv.decisions[k] == want and spmv.decisions[k].est_us == want.est_us
         assert spmv.priced[k] == (want.kernel == "tcspmm" and not graph.directed)
         # priced levels are known before the replay; the replay runs the
