@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bench-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary bless-modeled
+.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bench-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary bless-modeled perf-pair
 
 test:  ## tier-1: the full suite (the ROADMAP verify command)
 	$(PYTEST) -x -q
@@ -59,6 +59,13 @@ perf-gate:  ## run the adaptive smoke bench twice and fail on significant regres
 		--ingest perf-gate-base.json
 	PYTHONPATH=src python -m repro perf-diff \
 		--baseline-ledger perf-gate-ledger.jsonl BENCH_adaptive.json
+
+BASE ?= HEAD
+WORKLOAD ?= deep-road
+PAIRS ?= 6
+
+perf-pair:  ## alternating base/change runs of one benchmark workload: make perf-pair BASE=<rev> WORKLOAD=<name> PAIRS=<k>
+	python3 tools/perf_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 canary-smoke:  ## seconds-scale probe matrix: golden bit-identity + budget ceilings
 	rm -f ledger.jsonl

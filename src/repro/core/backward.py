@@ -143,27 +143,24 @@ def _written_counts(push, active, S, depth) -> np.ndarray:
 
 
 def _replay_backward(ctx, costs, depth, spmv) -> None:
-    """Launch the computed levels: per level ``delta_u``, the product and
-    the ``delta`` update, each level in its own span.
+    """Launch the computed levels as one table: per level ``delta_u``, the
+    product and the ``delta`` update; under telemetry each level's rows are
+    reported in its own span.
 
     ``costs`` holds the kernels' thread count ``n * B`` and, at index
     ``d - 1``, the depth-d slice's size and gather transactions:
     ``delta_u`` writes the depth-d slice and the update the depth-(d-1)
     one.  A level whose stats are unknown runs its kernel's entry point
-    here, on ``spmv.operands``.
+    against the context's recorder, on ``spmv.operands``.
     """
     threads, sizes, txn = costs
     walk = np.arange(depth, 1, -1)
-    scales = FK.delta_u_costs(threads, sizes[walk - 1], txn[walk - 1])
-    updates = FK.delta_update_costs(threads, sizes[walk - 2], txn[walk - 2])
-    for k, d in enumerate(walk.tolist()):
-        tag = f"d={d}"
-        with obs.span("level", depth=d) as sp:
-            ctx.device.launch(scales[k], tag=tag)
-            spmv.launch(k, tag)
-            if spmv.decisions is not None:
-                sp.set(**spmv.decisions[k].span_attrs())
-            ctx.device.launch(updates[k], tag=tag)
+    timed = spmv.launch(
+        [FK.delta_u_costs(threads, sizes[walk - 1], txn[walk - 1]), None,
+         FK.delta_update_costs(threads, sizes[walk - 2], txn[walk - 2])],
+        [f"d={d}" for d in walk.tolist()])
+    if obs.get_telemetry() is not None:
+        spmv.spans(timed, 0, walk.tolist())
 
 
 def accumulate_dependencies_batch(ctx: TurboBCContext, fwd: BatchedBFSResult) -> np.ndarray:

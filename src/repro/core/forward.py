@@ -42,6 +42,7 @@ from repro.core.context import TurboBCContext
 from repro.core.levels import SpmvLevels, label, level_dag, list_costs
 from repro.core.result import BatchedBFSResult, BFSResult
 from repro.gpusim import warp as W
+from repro.gpusim.device import readbacks
 from repro.obs import telemetry as obs
 
 
@@ -252,9 +253,9 @@ def _frontier_operands(ctx, sigma, discovered, roots, lanes):
 
 
 def _replay_forward(ctx, spmv, lanes, txn, batched, tel) -> None:
-    """Launch the computed levels: init, then per level the product, the
-    update kernel and the readback of the convergence flags, each level in
-    its own span.
+    """Launch the computed levels as one table: init, then per level the
+    product, the update kernel and the readback of the convergence flags;
+    under telemetry each level's rows are reported in its own span.
 
     ``lanes[k]`` holds level ``k``'s discoveries per lane (one column per
     source of the stage) and ``txn[k]`` the gather transactions of its
@@ -265,31 +266,28 @@ def _replay_forward(ctx, spmv, lanes, txn, batched, tel) -> None:
     discovered something.
     """
     n, B = ctx.graph.n, lanes.shape[1]
-    device = ctx.device
     sizes = lanes.sum(axis=1)
-    updates = FK.frontier_update_costs(n * B, sizes, txn, masked_spmv=ctx.mask_fused)
+    depths = range(1, len(lanes) + 1)
+    # The host must read the convergence flags back each level to decide
+    # whether to launch the next one.
+    timed = spmv.launch(
+        [None, FK.frontier_update_costs(n * B, sizes, txn, masked_spmv=ctx.mask_fused),
+         readbacks(B, len(lanes))],
+        [f"d={d}" for d in depths], head=FK.init_costs(B, "d=1"))
+    if tel is None:
+        return
     visited = np.cumsum(sizes) + B
-    metrics = tel.metrics if tel is not None else None
 
-    FK.init_sources_kernel(device, n, B, tag="d=1")
-    for k in range(len(lanes)):
-        depth = k + 1
-        tag = f"d={depth}"
-        with obs.span("level", depth=depth) as sp:
-            spmv.launch(k, tag)
-            if spmv.decisions is not None:
-                sp.set(**spmv.decisions[k].span_attrs())
-            device.launch(updates[k], tag=tag)
-            got = lanes[k][lanes[k] > 0].tolist()
-            if batched or got:
-                sp.set(**FK.level_density(int(sizes[k]), int(visited[k]), n * B),
-                       **({"active_lanes": len(got)} if batched else {}))
-            if metrics is not None:
-                for size in got:
-                    metrics.histogram("frontier_size").record(size)
-            # The host must read the convergence flags back each level to
-            # decide whether to launch the next one.
-            device.sync_readback(words=B, tag=tag)
+    def densities(k, sp):
+        got = lanes[k][lanes[k] > 0].tolist()
+        if batched or got:
+            sp.set(**FK.level_density(int(sizes[k]), int(visited[k]), n * B),
+                   **({"active_lanes": len(got)} if batched else {}))
+        if tel.metrics is not None:
+            for size in got:
+                tel.metrics.histogram("frontier_size").record(size)
+
+    spmv.spans(timed, 1, depths, densities)
 
 
 def levels_of(discovered, size: int, undiscovered: int, roots) -> np.ndarray:

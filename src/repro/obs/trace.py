@@ -138,20 +138,21 @@ class Span:
 class _OpenSpan:
     """Context-manager handle pairing a Span with its tracer."""
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_span")
+    __slots__ = ("_tracer", "_name", "_attrs", "_gpu", "_span")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict):
+    def __init__(self, tracer: "Tracer", name: str, attrs: dict, gpu):
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
+        self._gpu = gpu
         self._span: Span | None = None
 
     def __enter__(self) -> Span:
-        self._span = self._tracer._open(self._name, self._attrs)
+        self._span = self._tracer._open(self._name, self._attrs, self._gpu)
         return self._span
 
     def __exit__(self, *exc) -> bool:
-        self._tracer._close(self._span)
+        self._tracer._close(self._span, self._gpu)
         return False
 
 
@@ -179,14 +180,16 @@ class Tracer:
 
     # -- span lifecycle -------------------------------------------------------
 
-    def span(self, name: str, **attrs) -> _OpenSpan:
-        """A context manager opening a child span of the current one."""
-        return _OpenSpan(self, name, attrs)
+    def span(self, name: str, *, gpu=None, **attrs) -> _OpenSpan:
+        """A context manager opening a child span of the current one.
+        ``gpu``: the span's GPU clock at entry and exit, for a span emitted
+        after its launches were timed (default: read the bound device's)."""
+        return _OpenSpan(self, name, attrs, gpu)
 
-    def _open(self, name: str, attrs: dict) -> Span:
+    def _open(self, name: str, attrs: dict, gpu=None) -> Span:
         span = Span(name, attrs, self._clock())
         if self._gpu_clock is not None:
-            span.gpu_start_s = self._gpu_clock()
+            span.gpu_start_s = self._gpu_clock() if gpu is None else gpu[0]
         if self._mem_gauge is not None:
             used = self._mem_gauge()
             span.mem_start_bytes = used
@@ -198,14 +201,14 @@ class Tracer:
         self._stack.append(span)
         return span
 
-    def _close(self, span: Span) -> None:
+    def _close(self, span: Span, gpu=None) -> None:
         # Tolerate mispaired exits (an exception unwinding several levels):
         # pop up to and including the span being closed.
         while self._stack:
             top = self._stack.pop()
             top.end_s = self._clock()
             if self._gpu_clock is not None:
-                top.gpu_end_s = self._gpu_clock()
+                top.gpu_end_s = gpu[1] if gpu is not None and top is span else self._gpu_clock()
             if top is span:
                 break
 

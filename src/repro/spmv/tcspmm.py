@@ -40,7 +40,7 @@ import numpy as np
 from repro.formats.base import distinct_sorted
 from repro.formats.csc import CSCMatrix
 from repro.gpusim.device import Device
-from repro.gpusim.kernel import KernelLaunch, KernelStats
+from repro.gpusim.kernel import KernelLaunch, KernelStats, LaunchTable
 from repro.gpusim import warp as W
 from repro.spmv import _spmm as M
 
@@ -189,15 +189,15 @@ def _tc_stats(
     l2_bytes: int,
     *,
     masked: bool,
-) -> list[KernelStats]:
-    """Hardware stats for blocked tensor-core passes over the active tiles.
+) -> LaunchTable:
+    """Launch rows of blocked tensor-core passes over the active tiles.
 
     ``tiles`` is ``(n_active, nnz_active, max_tile, chain)`` where
     ``chain`` is the most active tiles sharing one output stripe (column
     stripes for gather products, row stripes for scatter): those commit
     their C-fragments in sequence, which is the kernel's critical path.
-    Every argument but the structure may be a per-level array; one
-    ``KernelStats`` per level comes back.
+    Every argument but the structure may be a per-level array; one row per
+    level comes back.
     """
     n_tiles = csc.tile_plan(W.MMA_TILE)[0].size
     n_active, nnz_active, max_tile, chain, write_txn, n_flops = (
@@ -217,23 +217,18 @@ def _tc_stats(
     stripe_txn = W.coalesced_transactions(csc.n_rows) + W.coalesced_transactions(n)
 
     tile_cycles = _TILE_BASE_CYCLES + mma_per_tile * _MMA_ISSUE_CYCLES
-    columns = (
-        n_active * W.WARP_SIZE,
-        n_active * tile_cycles + nnz_active * _DECODE_CYCLES,
-        (dir_txn + ent_txn + x_txn + mask_txn + stripe_txn) * W.TRANSACTION_BYTES,
-        write_txn * W.TRANSACTION_BYTES,
-        (3 * n_tiles + nnz_active + (n * B if masked else 0)) * 4
+    return LaunchTable.of(
+        name,
+        threads=n_active * W.WARP_SIZE,
+        warp_cycles=n_active * tile_cycles + nnz_active * _DECODE_CYCLES,
+        dram_read_bytes=(dir_txn + ent_txn + x_txn + mask_txn + stripe_txn) * W.TRANSACTION_BYTES,
+        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=(3 * n_tiles + nnz_active + (n * B if masked else 0)) * 4
         + n_active * W.MMA_TILE * B * item,
-        chain * tile_cycles + max_tile * _DECODE_CYCLES,
-        n_flops,
-        W.mma_ops_for_tiles(n_active, B),
+        critical_warp_cycles=chain * tile_cycles + max_tile * _DECODE_CYCLES,
+        flops=n_flops,
+        mma_ops=W.mma_ops_for_tiles(n_active, B),
     )
-    return [
-        KernelStats(name=name, threads=t, warp_cycles=w, dram_read_bytes=r,
-                    dram_write_bytes=wr, requested_load_bytes=q,
-                    critical_warp_cycles=c, flops=f, mma_ops=o)
-        for t, w, r, wr, q, c, f, o in zip(*(a.tolist() for a in columns))
-    ]
 
 
 def _cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats:
@@ -257,8 +252,9 @@ def _cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats
         csc, row_ok, col_ok
     )
     tiles = (n_active, nnz_active, max_tile, chain_row if p.scatter else chain_col)
-    return _tc_stats(csc, tiles, p.B, p.x_dtype, p.written * p.out_row_txn, n_flops,
-                     name, l2_bytes, masked=p.masked)[0]
+    (stats,) = _tc_stats(csc, tiles, p.B, p.x_dtype, p.written * p.out_row_txn, n_flops,
+                         name, l2_bytes, masked=p.masked)
+    return stats
 
 
 def tcspmm_spmv(

@@ -132,8 +132,8 @@ class TestBackwardDispatch:
         ctx = TurboBCContext(device, graph, "sccsc")
         x = np.zeros(graph.n, dtype=np.float32)
         x[0] = 1.0
-        launch = ctx.launch_spmv("backward", lambda: (x, None))
-        assert "scatter" in launch.stats.name
+        _, _, stats = ctx.product("backward", x, kernel="sccsc")
+        assert "scatter" in stats.name
 
     def test_undirected_uses_gather(self):
         g = random_graph(50, 0.08, directed=False, seed=4)
@@ -141,8 +141,8 @@ class TestBackwardDispatch:
         ctx = TurboBCContext(device, g, "sccsc")
         x = np.zeros(g.n, dtype=np.float32)
         x[0] = 1.0
-        launch = ctx.launch_spmv("backward", lambda: (x, None))
-        assert launch.stats.name == "sccsc_spmv"
+        _, _, stats = ctx.product("backward", x, kernel="sccsc")
+        assert stats.name == "sccsc_spmv"
 
     @pytest.mark.parametrize("alg", ["sccooc", "sccsc", "veccsc"])
     def test_backward_directed_equals_reverse_gather(self, graph, alg, rng):

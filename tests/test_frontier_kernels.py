@@ -16,7 +16,7 @@ def device():
 class TestInitKernel:
     def test_records_launch(self, device):
         # one lane: the per-source stage's init
-        launch = FK.init_sources_kernel(device, 100, 1)
+        (launch,) = device.launch(FK.init_costs(1, "d=1")).launches()
         assert device.profiler.kernel_names() == ["bfs_init"]
         stats = launch.stats
         assert (stats.threads, stats.warp_cycles, stats.dram_write_bytes) == (

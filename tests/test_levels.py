@@ -122,6 +122,7 @@ def test_forward_tables_match_per_level_formulas(name):
         spmv = SpmvLevels(ctx, "forward", operands).plan(active, found, sigma.dtype)
         spmv.stats = recorded
         spmv.price(written)
+        tc_rows = list(spmv.rows) if spmv.rows is not None else []
         assert len(live) == len(discovered) == len(spmv.kernels)
         csc = ctx.matrix
         disp = ctx.dispatcher
@@ -142,14 +143,14 @@ def test_forward_tables_match_per_level_formulas(name):
             assert t["n_allowed"] == int(allowed.sum())
             assert t["dmax"] == int(disp.deg[allowed].max(initial=0))
             want = check._decide("forward", x, allowed)
-            got = spmv.decisions[k]
+            got = spmv.decisions.rows()[k]
             assert got == want and got.est_us == want.est_us
             assert [type(v) for v in got.est_us.values()] == [
                 type(v) for v in want.est_us.values()]
             if spmv.priced[k]:
                 priced += 1
                 assert t["n_flops"] == int(allowed @ (csc.spmm_operators()[0] @ rows))
-                assert spmv.stats[k] == tcspmm_spmv(Device(), csc, x, allowed=allowed)[1].stats
+                assert tc_rows[k] == tcspmm_spmv(Device(), csc, x, allowed=allowed)[1].stats
             else:
                 assert spmv.stats[k] is None  # the entry point runs at launch
     if name.startswith("road-12"):
@@ -207,13 +208,16 @@ def test_backward_plan_matches_per_level_formulas(name):
     csc = ctx.matrix
     for k, x in enumerate(xs):
         want = check._decide("backward", x, None)
-        assert spmv.decisions[k] == want and spmv.decisions[k].est_us == want.est_us
+        got = spmv.decisions.rows()[k]
+        assert got == want and got.est_us == want.est_us
         assert spmv.priced[k] == (want.kernel == "tcspmm" and not graph.directed)
         # priced levels are known before the replay; the replay runs the
         # entry point of the others on operands(k), which are the level's x
         assert operands(k)[0].tobytes() == x.tobytes()
         entry = table[want.kernel](Device(), csc, x)[1].stats
-        assert spmv.stats[k] == (entry if spmv.priced[k] else None)
+        if spmv.priced[k]:
+            assert list(spmv.rows)[k] == entry
+        assert spmv.stats[k] is None  # recorded by neither numerics nor tables
     if name == "road-12x12":
         assert any(spmv.priced)
 

@@ -303,6 +303,42 @@ class TestInjectedSlowdownGate:
         assert np.array_equal(slow.bc, base.bc)
 
 
+class TestSlowdownOnStageTables:
+    """The slowdown hook scales a named kernel's rows inside a stage table."""
+
+    def test_named_kernel_arms_scale_and_others_stay_bit_identical(self, monkeypatch):
+        from repro.gpusim.device import Device
+        from repro.graphs.generators.road import road_network_graph
+
+        graph = road_network_graph(24, 24, segments=2, keep_prob=0.8, seed=1)
+
+        def launches(slowdown):
+            if slowdown:
+                monkeypatch.setenv("REPRO_INJECT_SLOWDOWN", slowdown)
+            device = Device()
+            monkeypatch.delenv("REPRO_INJECT_SLOWDOWN", raising=False)
+            res = turbo_bc(graph, sources=[0, graph.n - 1], algorithm="adaptive",
+                           batch_size=1, forward_dtype=np.float64, device=device)
+            assert min(res.stats.depth_per_source) >= 40
+            return res.bc, device.profiler.launches
+
+        base_bc, base = launches(None)
+        slow_bc, slow = launches("tcspmm_spmv:3")
+        assert np.array_equal(base_bc, slow_bc)
+        assert [ln.name for ln in slow] == [ln.name for ln in base]
+        arms = ("compute_time_s", "memory_time_s", "serial_time_s", "mma_time_s")
+        scaled = 0
+        for b, s in zip(base, slow):
+            if b.name == "tcspmm_spmv":
+                scaled += 1
+                assert [getattr(s, a) for a in arms] == [getattr(b, a) * 3 for a in arms]
+                assert (s.link_time_s, s.overhead_s, s.stats) == (
+                    b.link_time_s, b.overhead_s, b.stats)
+            else:
+                assert s == b and s.tag == b.tag and s.time_s.hex() == b.time_s.hex()
+        assert scaled > 40
+
+
 class TestPerfDiffCLI:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "a.json"
