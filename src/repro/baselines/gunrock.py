@@ -32,7 +32,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_sigma_levels
 from repro.gpusim.device import Device
 from repro.gpusim.errors import DeviceOutOfMemoryError
-from repro.gpusim.kernel import KernelStats
+from repro.gpusim.kernel import KERNEL, READBACK, KernelStats, LaunchTable
 from repro.gpusim import warp as W
 from repro.perf.memory_model import GUNROCK_WORKSPACE_WORDS_PER_VERTEX, advise_fit
 
@@ -46,6 +46,8 @@ _BACKWARD_LAUNCHES = 3
 _ADVANCE_CYCLES_PER_EDGE = 5
 #: Pull switches on when the frontier's edges exceed this fraction of m.
 _PULL_THRESHOLD = 0.05
+#: A host readback of one 4-byte word (the frontier length or a sync flag).
+_READBACK = KernelStats(name="sync_readback", threads=0, dram_read_bytes=4)
 
 
 def _advance_stats(
@@ -132,8 +134,18 @@ def _alloc_gunrock_arrays(device: Device, graph: Graph) -> list:
     return arrays
 
 
-def _backward_pass(graph: Graph, sigma, levels, depth: int, device: Device) -> np.ndarray:
-    """Dependency accumulation (numerics + per-level gunrock stats)."""
+def _launch(device: Device, rows: list) -> None:
+    """Launch one source's ``(stats, tag)`` rows as one table, in order;
+    ``None`` stats stand for a one-word host readback."""
+    stats = [_READBACK if s is None else s for s, _ in rows]
+    kinds = [READBACK if s is None else KERNEL for s, _ in rows]
+    device.launch(LaunchTable.from_stats(stats, [tag for _, tag in rows], kinds))
+
+
+def _backward_pass(graph: Graph, sigma, levels, depth: int, device: Device,
+                   rows: list) -> np.ndarray:
+    """Dependency accumulation: numerics, and per level gunrock's launch
+    rows appended to ``rows`` (:func:`_launch`)."""
     n = graph.n
     csc = graph.to_csc()
     col_of_nnz = csc.column_of_nnz()
@@ -162,17 +174,14 @@ def _backward_pass(graph: Graph, sigma, levels, depth: int, device: Device) -> n
         edges = int(np.count_nonzero(sel_e))
         serial = int(np.bincount(dests, minlength=1).max()) if dests.size else 0
         l2 = device.spec.l2_bytes
-        device.launch(
-            _advance_stats("gunrock_bc_advance", edges, idx.size, n, serial, l2),
-            tag=f"d={d}",
-        )
-        device.launch(
-            _advance_stats("gunrock_bc_accum", edges, idx.size, n, serial, l2),
-            tag=f"d={d}",
-        )
-        device.launch(_aux_stats("gunrock_bc_filter", n), tag=f"d={d}")
-        device.launch(_aux_stats("gunrock_bc_update", n), tag=f"d={d}")
-        device.sync_readback(tag=f"d={d}")
+        tag = f"d={d}"
+        rows += [
+            (_advance_stats("gunrock_bc_advance", edges, idx.size, n, serial, l2), tag),
+            (_advance_stats("gunrock_bc_accum", edges, idx.size, n, serial, l2), tag),
+            (_aux_stats("gunrock_bc_filter", n), tag),
+            (_aux_stats("gunrock_bc_update", n), tag),
+            (None, tag),
+        ]
     return delta
 
 
@@ -209,6 +218,7 @@ def gunrock_bc(
         for s in src_list:
             sigma, levels, depth, trace = bfs_sigma_levels(graph, s)
             depths.append(depth)
+            rows = []  # the source's launches, in order
             # forward stage stats: direction-optimized advance per level
             for lvl in range(trace.depth):
                 edges = trace.frontier_edges[lvl]
@@ -218,30 +228,27 @@ def gunrock_bc(
                 # gunrock's BC forward runs two advances per level: one for
                 # labels, one accumulating sigmas.
                 serial = trace.max_target_multiplicity[lvl]
-                device.launch(
-                    _advance_stats(name, work_edges, trace.frontier_sizes[lvl], n,
-                                   serial, device.spec.l2_bytes),
-                    tag=f"d={lvl + 1}",
-                )
-                device.launch(
-                    _advance_stats("gunrock_sigma_advance", work_edges,
-                                   trace.frontier_sizes[lvl], n, serial,
-                                   device.spec.l2_bytes),
-                    tag=f"d={lvl + 1}",
-                )
-                for k in range(_FORWARD_AUX_LAUNCHES):
-                    device.launch(_aux_stats(f"gunrock_bfs_aux{k}", n), tag=f"d={lvl + 1}")
+                tag = f"d={lvl + 1}"
+                rows += [
+                    (_advance_stats(name, work_edges, trace.frontier_sizes[lvl], n,
+                                    serial, device.spec.l2_bytes), tag),
+                    (_advance_stats("gunrock_sigma_advance", work_edges,
+                                    trace.frontier_sizes[lvl], n, serial,
+                                    device.spec.l2_bytes), tag),
+                ]
+                rows += [(_aux_stats(f"gunrock_bfs_aux{k}", n), tag)
+                         for k in range(_FORWARD_AUX_LAUNCHES)]
                 # gunrock reads the output frontier length back to size the
                 # next level's grid, and syncs once more around the filter.
-                for _ in range(2):
-                    device.sync_readback(tag=f"d={lvl + 1}")
+                rows += [(None, tag)] * 2
             if depth > 1:
-                delta = _backward_pass(graph, sigma, levels, depth, device)
+                delta = _backward_pass(graph, sigma, levels, depth, device, rows)
                 scale = 0.5 if not graph.directed else 1.0
                 saved = bc[s]
                 bc += scale * delta
                 bc[s] = saved
-                device.launch(_aux_stats("gunrock_bc_accumulate", n), tag=f"s={s}")
+                rows.append((_aux_stats("gunrock_bc_accumulate", n), f"s={s}"))
+            _launch(device, rows)
     finally:
         for arr in arrays:
             if not arr.is_freed:
