@@ -370,7 +370,9 @@ def _forward_numerics_batch(ctx, spmv, roots, Sigma, S, F):
     active = np.ones(B, dtype=bool)
     discovered, lanes, txn = [], [], []
     while active.any():
-        allowed = (Sigma == 0) & active if ctx.mask_fused else None
+        allowed = Sigma == 0 if ctx.mask_fused else None
+        if allowed is not None:  # by column: `& active` would be ~5x the compare
+            allowed[:, np.flatnonzero(~active)] = False
         Ft = spmv.product(X, allowed)
         X, flat = FK.frontier_update(Ft, Sigma, S, len(discovered) + 1,
                                      masked_spmv=ctx.mask_fused)

@@ -16,16 +16,17 @@ bit for bit (DESIGN.md §7, "Bit-exactness contract"):
   entry at +0.0 and add ``1.0 * x`` one stored entry at a time in storage
   order, in float64 -- the sequential order of ``np.bincount``, unlike the
   pairwise loop of ``np.add.reduceat`` (DESIGN.md §9);
-* masked-out gather sums are zeroed after the product, so a mask never
+* masked-out gather sums are dropped after the product, so a mask never
   changes the arithmetic of an allowed column;
 * atomic products -- every scatter, and scCOOC's gather -- only see
-  positive inputs (``where(x > 0, x, 0)``) and store every sum; the other
-  gathers store the positive sums only;
-* the float64 accumulator is cast to the kernel dtype once, afterwards,
-  in one branch-free ``where`` pass (:func:`cast_like_spmv`).  An integer
-  dtype receives ``iinfo.min`` for every sum whose truncation it cannot
-  hold, and for NaN, on every platform -- so int32 sigma overflow always
-  shows as ``sigma < 0``.
+  positive inputs and store every sum; the other gathers store the
+  positive allowed sums only.  Each drop is a branch-free bit multiply
+  (:func:`keep_bits`: +0.0 whatever the value held), a gather's mask and
+  positive filter one multiply on the accumulator it casts;
+* the float64 accumulator is cast to the kernel dtype once, afterwards
+  (:func:`cast_like_spmv`).  An integer dtype receives ``iinfo.min`` for
+  every sum whose truncation it cannot hold, and for NaN, on every
+  platform -- so int32 sigma overflow always shows as ``sigma < 0``.
 
 Products are frontier-proportional.  Omitting a stored entry changes no
 bit when its input row is zero in every lane, or (masked gather) its
@@ -48,7 +49,8 @@ when it exceeds ``RESTRICT_MAX_SHARE * m``; below ``m * B`` =
 ``FULL_BELOW_LANE_ENTRIES`` no mass is even computed.
 :func:`scatter_spmm_values` restricts the same way to the columns with a
 nonzero lane.  The O(nnz) integer counts of the cost functions run through
-the same two functions (exact in any order).
+the same two functions (exact in any order) and are reduced as integers:
+a float64 dot is a BLAS call, which OpenBLAS may thread.
 
 The counts reduce ``(n, B)`` bool lane masks along the lane axis --
 written columns, active rows, lanes per column.  :func:`lane_any` and
@@ -129,12 +131,12 @@ def product(fmt, x, *, batched: bool, scatter: bool = False, atomic: bool = Fals
     atomic = atomic or scatter
     pos = x > 0 if atomic or "active" in need else None
     if atomic:
-        inputs = np.where(pos, x, x.dtype.type(0))
+        inputs = keep_bits(x.copy(), pos)
         sums = (scatter_spmm_values if scatter else gather_spmm_values)(fmt, inputs)
     else:
-        sums = gather_spmm_values(fmt, x, allowed)
+        sums = _gather_sums(fmt, x, allowed)
     out_dtype = np.dtype(out_dtype or x.dtype)
-    y = cast_like_spmv(sums, out_dtype, positive_only=not atomic)
+    y = cast_like_spmv(sums, out_dtype, positive_only=not atomic, allowed=allowed)
     B = x.shape[1] if batched else 1
     lanes = active = written = None
     if "lanes" in need:
@@ -215,6 +217,12 @@ def gather_spmm_values(fmt, X: np.ndarray, allowed: np.ndarray | None = None) ->
     :func:`choose_path` picks; the three are bit-identical (module
     docstring).
     """
+    sums = _gather_sums(fmt, X, allowed)
+    return sums if allowed is None else keep_bits(sums, allowed)
+
+
+def _gather_sums(fmt, X: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
+    """:func:`gather_spmm_values` before the mask, which only picks the path."""
     gather = fmt.spmm_operators()[0]
     masked = allowed is not None and not allowed.all()
     path = "full"
@@ -225,18 +233,12 @@ def gather_spmm_values(fmt, X: np.ndarray, allowed: np.ndarray | None = None) ->
         path = choose_path(fmt.nnz, _mass(push_op.indptr, rows),
                            None if cols is None else _mass(gather.indptr, cols))
     if path == "pull":
-        part = gather[cols] @ X.astype(np.float64, copy=False)
-        part[~allowed[cols]] = 0.0
         sums = np.zeros((fmt.n_cols,) + X.shape[1:])
-        sums[cols] = part
+        sums[cols] = gather[cols] @ X.astype(np.float64, copy=False)
         return sums
     if path == "push":
-        sums = push_op[rows].T @ X[rows].astype(np.float64, copy=False)
-    else:
-        sums = gather @ X.astype(np.float64, copy=False)
-    if masked:
-        sums[~allowed] = 0.0
-    return sums
+        return push_op[rows].T @ X[rows].astype(np.float64, copy=False)
+    return gather @ X.astype(np.float64, copy=False)
 
 
 def scatter_spmm_values(fmt, X: np.ndarray) -> np.ndarray:
@@ -266,20 +268,37 @@ def raw_cast(sums: np.ndarray, dtype: np.dtype) -> np.ndarray:
         return sums.astype(dtype, copy=False)
 
 
-def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool) -> np.ndarray:
+def keep_bits(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Zero ``a`` outside the bool mask ``keep``, in place; returns ``a``.
+
+    Each element's bits, viewed as a same-width unsigned integer, times its
+    0/1 ``keep`` byte: a kept value keeps its bits, a dropped one becomes
+    +0.0 (NaN, +-inf and -0.0 included) -- the bytes of a boolean-mask
+    assignment or ``np.where``, which branch on every element, in one
+    branch-free pass."""
+    bits = a.view(f"u{a.itemsize}")
+    np.multiply(bits, keep, out=bits)
+    return a
+
+
+def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool,
+                   allowed: np.ndarray | None = None) -> np.ndarray:
     """Cast the float64 accumulator to the kernel output dtype.
 
-    ``positive_only`` reproduces the gather kernels' ``sum > 0`` write
-    sparsity (scatter kernels store every accumulated row) with one
-    branch-free ``where`` pass rather than a boolean-mask scatter.  An
-    integer dtype receives ``iinfo.min`` for NaN and for every sum whose
-    truncation toward zero it cannot hold (what x86 stores, on every
-    platform), so sigma overflow is always negative; a max (and, for
-    possibly negative sums, min) reduction keeps the in-range case to
-    one extra pass.
+    Consumes ``sums``, a fresh accumulator zeroed in place.  ``positive_only``
+    reproduces the gather kernels' ``sum > 0`` write sparsity (scatter
+    kernels store every accumulated row), and drops the sums a gather's
+    ``allowed`` masks out in the same :func:`keep_bits` pass.  An integer
+    dtype receives ``iinfo.min`` for NaN and for every sum whose truncation
+    toward zero it cannot hold (what x86 stores, on every platform), so
+    sigma overflow is always negative; a max (and, for possibly negative
+    sums, min) reduction keeps the in-range case to one extra pass.
     """
     if positive_only:
-        sums = np.where(sums > 0, sums, 0.0)
+        keep = sums > 0
+        if allowed is not None:
+            keep &= allowed
+        keep_bits(sums, keep)
     out_dtype = np.dtype(out_dtype)
     y = raw_cast(sums, out_dtype)
     if out_dtype.kind in "iu" and sums.size:
@@ -287,7 +306,9 @@ def cast_like_spmv(sums: np.ndarray, out_dtype, *, positive_only: bool) -> np.nd
         top = float(info.max) + 1  # trunc(v) fits iff info.min <= v < top
         # NaN fails every comparison, so it takes the mapping too
         if not (sums.max() < top and (positive_only or sums.min() >= info.min)):
-            y[~((sums >= info.min) & (sums < top))] = info.min
+            fits = (sums >= info.min) & (sums < top)
+            keep_bits(y, fits)
+            y += ~fits * out_dtype.type(info.min)
     return y
 
 

@@ -91,18 +91,15 @@ def active_tile_stats(
     if memo is not None and memo[0] == key:
         return memo[1]
     t_row, t_col, t_cnt = csc.tile_plan(W.MMA_TILE)
-    active = (
-        col_stripe_ok[t_col] & row_stripe_ok[t_row]
-        if t_row.size
-        else np.zeros(0, dtype=bool)
-    )
-    n_active = int(np.count_nonzero(active))
-    if n_active:
-        cnt = t_cnt[active]
+    # One index list from the bool mask, then integer gathers: boolean-mask
+    # compactions branch on every tile of the ~n / 16-entry directory.
+    idx = np.flatnonzero(col_stripe_ok[t_col] & row_stripe_ok[t_row])
+    if idx.size:
+        cnt = t_cnt[idx]
         stats = (
-            n_active, int(cnt.sum()), int(cnt.max()),
-            int(np.bincount(t_col[active]).max()),
-            int(np.bincount(t_row[active]).max()),
+            idx.size, int(cnt.sum()), int(cnt.max()),
+            int(np.bincount(t_col[idx]).max()),
+            int(np.bincount(t_row[idx]).max()),
         )
     else:
         stats = (0, 0, 0, 0, 0)
@@ -246,8 +243,9 @@ def _cost(csc: CSCMatrix, p: M.Product, name: str, l2_bytes: int) -> KernelStats
     else:
         active_rows = p.active > 0
         row_ok, col_ok = stripe_any(active_rows), stripe_any(p.lanes)
-        # allowed lanes x active rows per column: an exact integer in float64
-        n_flops = int(p.lanes @ M.gather_spmm_values(csc, active_rows, p.lanes > 0))
+        # allowed lanes x active rows per column, as an integer (not BLAS) dot
+        per_col = M.gather_spmm_values(csc, active_rows, p.lanes > 0).astype(np.int64)
+        n_flops = int(p.lanes @ per_col)
     n_active, nnz_active, max_tile, chain_col, chain_row = active_tile_stats(
         csc, row_ok, col_ok
     )

@@ -231,6 +231,33 @@ class TestBatchFrontierKernels:
         assert got == want.stats
         assert _launched(got).time_s == want.time_s
 
+    @pytest.mark.parametrize("B", (1, 8))
+    @pytest.mark.parametrize("sigma_dtype", (np.int32, np.float32, np.float64))
+    def test_unfused_mask_bytes_equal_where(self, B, sigma_dtype):
+        """The unfused path masks ``Ft`` in place with one bit multiply; the
+        frontier, its index list and the stamped state must be the bytes of
+        ``np.where(Sigma == 0, Ft, 0)`` -- NaN, +-inf, -0.0 and negative
+        ``Ft`` entries included."""
+        rng, Sigma, S, Ft = _batch_state(max(B, 2), sigma_dtype, seed=30 + B)
+        Sigma, S, Ft = Sigma[:, :B].copy(), S[:, :B].copy(), Ft[:, :B].copy()
+        if B == 1:
+            Sigma, S, Ft = Sigma[:, 0], S[:, 0], Ft[:, 0]
+        if np.dtype(sigma_dtype).kind == "f":
+            special = rng.random(Ft.shape) < 0.2
+            Ft[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, -3.0], special.sum())
+        else:
+            Ft[rng.random(Ft.shape) < 0.1] = -(2**31)
+        want_F = np.where(Sigma == 0, Ft, Ft.dtype.type(0))
+        Sigma2, S2 = Sigma.copy(), S.copy()
+        touched = want_F != 0
+        S2[touched] = 5
+        Sigma2[touched] += want_F[touched]
+        got_F, flat = FK.frontier_update(Ft, Sigma, S, 5, masked_spmv=False)
+        assert got_F is Ft
+        for g, w in ((got_F, want_F), (Sigma, Sigma2), (S, S2)):
+            _same_bytes(g, w)
+        np.testing.assert_array_equal(flat, np.flatnonzero(touched))
+
     def test_frontier_update_empty_frontier(self):
         Sigma = np.ones((40, 8), dtype=np.int32)
         S = np.ones((40, 8), dtype=np.int32)

@@ -334,6 +334,30 @@ class TestActiveTileMemo:
         # the fixture is not vacuous: single-mask changes change the answer
         assert seen[0] != seen[1] != seen[2]
 
+    def test_matches_compaction_on_random_stripe_bitmaps(self):
+        """The index-list reduction against the boolean-compaction form, on
+        bitmaps drawn per stripe (all-false and all-true included) and on an
+        empty directory."""
+        from repro.spmv.tcspmm import active_tile_stats
+
+        rng = np.random.default_rng(12)
+        graphs = [random_graph(300, 0.02, directed=True, seed=12),
+                  random_graph(150, 0.05, directed=False, seed=13),
+                  Graph(np.zeros(0, np.int64), np.zeros(0, np.int64), 40, directed=True)]
+        for g in graphs:
+            csc = g.to_csc()
+            shape = (-(-csc.n_rows // 16), -(-csc.n_cols // 16))
+            draws = [(np.zeros(shape[0], bool), np.zeros(shape[1], bool)),
+                     (np.ones(shape[0], bool), np.ones(shape[1], bool)),
+                     (np.ones(shape[0], bool), np.zeros(shape[1], bool))]
+            draws += [(rng.random(shape[0]) < p, rng.random(shape[1]) < q)
+                      for p, q in ((0.1, 0.9), (0.5, 0.5), (0.9, 0.2), (1.0, 0.3))]
+            for row_ok, col_ok in draws:
+                csc._active_tile_memo = None
+                got = active_tile_stats(csc, row_ok, col_ok)
+                assert got == self._from_scratch(csc, row_ok, col_ok)
+                assert all(type(v) is int for v in got)
+
     def test_edited_matrix_never_sees_the_old_entry(self):
         from repro.spmv.tcspmm import active_tile_stats
 
@@ -550,6 +574,84 @@ def test_no_short_axis_lane_reductions_in_kernels_or_dispatch():
     assert not offenders, offenders
 
 
+def _bool_exprs(tree):
+    """A predicate for syntactically boolean index expressions -- a
+    comparison, ``~``/``not``, an ``&``/``|``/``^`` (mask algebra), or a name
+    assigned one somewhere in ``tree`` -- and the set of those names."""
+    import ast
+
+    names: set[str] = set()
+
+    def is_bool(node) -> bool:
+        if isinstance(node, (ast.Compare, ast.BoolOp)):
+            return True
+        if isinstance(node, ast.UnaryOp):
+            return isinstance(node.op, (ast.Invert, ast.Not))
+        if isinstance(node, ast.BinOp):
+            return isinstance(node.op, (ast.BitAnd, ast.BitOr, ast.BitXor))
+        if isinstance(node, ast.IfExp):
+            return is_bool(node.body) or is_bool(node.orelse)
+        return isinstance(node, ast.Name) and node.id in names
+
+    for _ in range(3):  # names assigned from names assigned from comparisons
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign)) and is_bool(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names, is_bool
+
+
+def test_level_numerics_are_branch_free():
+    """The batched level passes zero values by bit multiplies
+    (``keep_bits``), not by per-element branches: no ``np.where(`` and no
+    boolean-mask subscript assignment in ``spmv/_spmm.py`` or
+    ``core/frontier.py``, and no boolean-index compaction in
+    ``tcspmm.active_tile_stats``."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import repro.core.frontier
+    import repro.spmv._spmm
+    import repro.spmv.tcspmm
+
+    offenders = []
+    for module in (repro.spmv._spmm, repro.core.frontier):
+        path = Path(module.__file__)
+        tree = ast.parse(path.read_text())
+        _, is_bool = _bool_exprs(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.where", "where"):
+                offenders.append(f"{path.name}:{node.lineno} np.where")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AugAssign) else [])
+            offenders += [f"{path.name}:{node.lineno} {ast.unparse(t)}" for t in targets
+                          if isinstance(t, ast.Subscript) and is_bool(t.slice)]
+    fn = ast.parse(inspect.getsource(repro.spmv.tcspmm.active_tile_stats))
+    _, is_bool = _bool_exprs(fn)
+    offenders += [f"active_tile_stats: {ast.unparse(node)}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Subscript) and is_bool(node.slice)]
+    assert not offenders, offenders
+
+
+def test_branch_free_guard_catches_the_old_forms():
+    """The guard's predicate flags the forms the level passes used to take."""
+    import ast
+
+    old = ("sums[~allowed] = 0.0\n"
+           "part[~allowed[cols]] = 0.0\n"
+           "y[~((sums >= lo) & (sums < top))] = lo\n"
+           "active = col_ok[t_col] & row_ok[t_row] if t_row.size else empty\n"
+           "cnt = t_cnt[active]\n")
+    tree = ast.parse(old)
+    names, is_bool = _bool_exprs(tree)
+    assert names == {"active"}
+    subscripts = [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)]
+    flagged = {ast.unparse(node) for node in subscripts if is_bool(node.slice)}
+    assert flagged == {"sums[~allowed]", "part[~allowed[cols]]",
+                       "y[~((sums >= lo) & (sums < top))]", "t_cnt[active]"}
+
+
 # -- frontier-proportional products ------------------------------------------
 
 RESTRICT_PATHS = ("push", "pull", "full")
@@ -636,6 +738,81 @@ class TestRestrictedProducts:
                     assert got.tobytes() == want.tobytes(), (gname, mname)
                 got = M.scatter_spmm_values(fmt, X)
                 assert got.tobytes() == (scatter @ X64).tobytes(), gname
+
+    @pytest.mark.parametrize("cast", ("native", "saturating"))
+    @pytest.mark.parametrize("path", RESTRICT_PATHS)
+    def test_product_bytes_equal_the_mask_then_where_formula(self, monkeypatch, path, cast):
+        """``product`` drops masked-out and non-positive gather sums with one
+        bit multiply, in place; its output and counts must be those of the
+        old formula -- ``sums[~allowed] = 0.0``, then ``np.where(sums > 0,
+        sums, 0.0)``, then the cast with an ``iinfo.min`` assignment -- for
+        every path, width, output dtype and platform cast."""
+        from repro.spmv import _spmm as M
+
+        _force_path(monkeypatch, path)
+        if cast == "saturating":
+            monkeypatch.setattr(M, "raw_cast", _saturating_cast)
+
+        def old_cast(sums, out_dtype, positive_only):
+            if positive_only:
+                sums = np.where(sums > 0, sums, 0.0)
+            y = M.raw_cast(sums, out_dtype)
+            if np.dtype(out_dtype).kind == "i":
+                info = np.iinfo(out_dtype)
+                y[~((sums >= info.min) & (sums < float(info.max) + 1))] = info.min
+            return y
+
+        rng = np.random.default_rng(21)
+        g = _restrict_graphs()["digraph"]
+        fmt = g.to_csc()
+        gather, scatter = fmt.spmm_operators()
+        seen = set()
+        for B in (1, 3, 8):
+            for x_dtype in (np.int32, np.float32, np.float64):
+                X = _restrict_input(g.n, B, x_dtype, rng)
+                X64 = X.astype(np.float64)
+                pos64 = np.where(X > 0, X, X.dtype.type(0)).astype(np.float64)
+                for out_dtype in (np.int32, np.float32, np.float64):
+                    for mname, allowed in _restrict_masks(g.n, B, rng).items():
+                        want = gather @ X64
+                        if allowed is not None:
+                            want[~allowed] = 0.0
+                        want_written = int(np.count_nonzero(
+                            (want > 0) if B == 1 else (want > 0).any(axis=1)))
+                        p = M.product(fmt, X, batched=B > 1, allowed=allowed,
+                                      out_dtype=out_dtype, need="written")
+                        assert p.y.tobytes() == old_cast(want, out_dtype, True).tobytes(), (
+                            B, x_dtype, out_dtype, mname)
+                        assert p.written == want_written
+                    for scat in (False, True):
+                        op = scatter if scat else gather
+                        p = M.product(fmt, X, batched=B > 1, scatter=scat, atomic=True,
+                                      out_dtype=out_dtype)
+                        want = old_cast(op @ pos64, out_dtype, False)
+                        assert p.y.tobytes() == want.tobytes(), (B, x_dtype, out_dtype, scat)
+                raw = gather @ X64
+                seen.update(k for k, hit in (
+                    ("nan", np.isnan(raw).any()), ("inf", np.isinf(raw).any()),
+                    ("negative", (raw < 0).any()), ("zero", (raw == 0).any()),
+                    ("past int32", (raw >= 2.0**31).any())) if hit)
+        # the special sums are really there
+        assert seen == {"nan", "inf", "negative", "zero", "past int32"}
+
+    def test_keep_bits_zeroes_every_special_value(self):
+        from repro.spmv._spmm import keep_bits
+
+        rng = np.random.default_rng(4)
+        for dtype in (np.float64, np.float32, np.int32, np.int64, np.uint8):
+            a = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -3.5, 2.0, 7.0] * 5)
+            a = a.astype(dtype) if np.dtype(dtype).kind == "f" else rng.integers(
+                -100 if np.dtype(dtype).kind == "i" else 0, 100, 40).astype(dtype)
+            full = a.reshape(8, 5)
+            view = full[:, ::2]                 # a strided view is zeroed in place
+            keep = rng.random(view.shape) < 0.5
+            want, rest = np.where(keep, view, dtype(0)), full[:, 1::2].copy()
+            assert keep_bits(view, keep) is view
+            assert full[:, ::2].tobytes() == want.tobytes(), dtype
+            assert full[:, 1::2].tobytes() == rest.tobytes(), dtype
 
     def test_choose_path_crossover(self):
         from repro.spmv._spmm import RESTRICT_MAX_SHARE, choose_path

@@ -6,11 +6,13 @@ Exports ``REV`` with ``git archive`` into a temporary directory and runs
 ``perfbench/run.py`` in both trees ``K`` times, seeds 1..K, alternating which
 tree goes first, each run for ``BENCHMARK.json``'s ``run_seconds``.  For every
 end-to-end metric of ``BENCHMARK.json`` it prints the base median and
-quartiles, the change median and "change better k/n" (pairs where the
-change's value is better).  Exits 1 when a modeled metric
-(``model_gpu_s``, ``device_peak_bytes``) differs on any seed, when the change
-completes a smaller share of operations, or when a host metric's change median
-is worse than the base median by more than its ``BENCHMARK.json`` bound.
+quartiles, the change median, "change better k/n" (pairs where the change's
+value is better), the paired bootstrap 95% CI of ``mean(change) /
+mean(base)`` (``repro.obs.regress.bootstrap_ratio_ci``) and a verdict
+(:func:`verdict`; ``exact`` or ``differs`` for a modeled metric).  Exits 1
+when a modeled metric (``model_gpu_s``, ``device_peak_bytes``) differs on any
+seed, when the change completes a smaller share of operations, or when a
+host metric's verdict is ``worse``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from repro.obs.regress import bootstrap_ratio_ci  # noqa: E402
+
 MODELED = ("model_gpu_s", "device_peak_bytes")
+#: A gain needs the change to win this share of all pairs run.
+WIN_SHARE = 0.9
 
 
 def export(rev: str, dest: Path) -> None:
@@ -52,6 +61,31 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
         return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
+
+
+def verdict(base: list[float], change: list[float], *, lower: bool, bound: float) -> str:
+    """One host metric's verdict over paired runs ``base[i]``/``change[i]``.
+
+    ``gain``: the change is better in at least ``WIN_SHARE`` of the pairs
+    (ties count for neither) and its median beats the base median by more
+    than the base's interquartile range.  ``worse``: the change median is
+    worse than the base median by more than ``bound`` (a fraction of the
+    base median).  Otherwise ``unresolved`` when the base runs spread wider
+    than ``bound`` (interquartile range over median) and not every change
+    run beats every base run, else ``holds``.
+    """
+    sign = 1 if lower else -1  # sign * (b - c) > 0: the change is better
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    bm, cm = statistics.median(base), statistics.median(change)
+    q1, q3 = quartiles(base)
+    if wins >= WIN_SHARE * len(base) and sign * (bm - cm) > q3 - q1:
+        return "gain"
+    if sign * (cm - bm) > bound * bm:
+        return "worse"
+    all_better = (max(change) < min(base)) if lower else (min(change) > max(base))
+    if q3 - q1 > bound * bm and not all_better:
+        return "unresolved"
+    return "holds"
 
 
 def main(argv=None) -> int:
@@ -82,7 +116,7 @@ def main(argv=None) -> int:
 
     failures = []
     print(f"{'metric':<18} {'base median':>12} {'base q1..q3':>25} {'change median':>14}"
-          f" {'change better':>14}")
+          f" {'change better':>14} {'ratio 95% CI':>15}  verdict")
     for metric in bench["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"])
@@ -93,17 +127,22 @@ def main(argv=None) -> int:
         better = sum((c < b) if lower else (c > b) for b, c in pairs)
         q1, q3 = quartiles(base)
         bm, cm = statistics.median(base), statistics.median(change)
-        print(f"{name:<18} {bm:>12.6g} {f'{q1:.6g}..{q3:.6g}':>25} {cm:>14.6g}"
-              f" {f'{better}/{len(pairs)}':>14}")
+        lo, hi = bootstrap_ratio_ci(np.array(base), np.array(change))
         if name in MODELED:
-            if any(b != c for b, c in pairs):
+            result = "differs" if any(b != c for b, c in pairs) else "exact"
+            if result == "differs":
                 failures.append(f"{name} differs on some seed")
         elif name == "ok_frac":
-            if any(c < b for b, c in pairs):
+            result = "dropped" if any(c < b for b, c in pairs) else "holds"
+            if result == "dropped":
                 failures.append("ok_frac dropped on some seed")
-        elif (cm > bm * (1 + metric["bound"])) if lower else (cm < bm * (1 - metric["bound"])):
-            failures.append(f"{name} median {cm:.6g} is worse than {bm:.6g} "
-                            f"beyond its bound {metric['bound']}")
+        else:
+            result = verdict(base, change, lower=lower, bound=metric["bound"])
+            if result == "worse":
+                failures.append(f"{name} median {cm:.6g} is worse than {bm:.6g} "
+                                f"beyond its bound {metric['bound']}")
+        print(f"{name:<18} {bm:>12.6g} {f'{q1:.6g}..{q3:.6g}':>25} {cm:>14.6g}"
+              f" {f'{better}/{len(pairs)}':>14} {f'{lo:.3f}..{hi:.3f}':>15}  {result}")
     print(f"# {args.pairs} pairs of {args.workload} against {args.base} "
           f"in {time.monotonic() - started:.0f} s wall")
     for failure in failures:
