@@ -6,12 +6,14 @@ pipeline): build ``delta_u`` from the depth-d slice, one SpMV, then fold
 the weighted result into ``delta`` on the depth-(d-1) slice.
 
 Both stages compute delta first and then launch the levels through one
-replay (:func:`_replay_backward`) at their width.  The per-source stage
-computes it in one sweep over the source's level-major BFS DAG
-(:func:`_sweep`, DESIGN.md §7 "Backward delta as one sweep") and prices
-its products from level tables (:mod:`repro.core.levels`); the batched
-stage runs the level loop on ``(n, B)`` matrices, deciding each level's
-kernel and recording its stats as it goes.
+replay (:func:`_replay_backward`) at their width.  One level loop
+(:func:`_backward_loop`) serves every width, on vectors or ``(n, B)``
+matrices, deciding each level's kernel and recording its stats as it
+goes.  A per-source stage whose forward solved sigma (and so built the
+source's level-major BFS DAG) computes delta in one sweep over that DAG
+instead (:func:`_sweep`, DESIGN.md §7 "Backward delta as one sweep") and
+plans and prices its products from level tables
+(:mod:`repro.core.levels`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.core import frontier as FK
 from repro.core.context import TurboBCContext
-from repro.core.levels import LevelDAG, SpmvLevels, flatten, label, level_dag, list_costs
+from repro.core.levels import LevelDAG, SpmvLevels, flatten, label, list_costs
 from repro.core.result import BatchedBFSResult, BFSResult
 from repro.obs import telemetry as obs
 from repro.spmv._spmm import cast_like_spmv
@@ -32,28 +34,42 @@ def accumulate_dependencies(ctx: TurboBCContext, fwd: BFSResult) -> np.ndarray:
     The context swaps its forward frontier arrays for the float dependency
     vectors first (Section 3.4's allocation choreography).  ``fwd`` is
     :func:`~repro.core.forward.bfs_forward`'s result: ``sigma`` is read in
-    place, the depth slices are its recorded ``discovered`` lists, and its
-    BFS DAG is reused where the forward solve built one.  The levels are
-    planned from the slices, delta is computed by :func:`_sweep`, the
-    levels the tables price get their ``KernelStats``, and the replay
-    launches them all (:mod:`repro.core.levels`).
+    place and the depth slices are its recorded ``discovered`` lists.
+    Where the forward solve built the BFS DAG (``fwd.dag``), the levels are
+    planned from the slices, delta is computed by :func:`_sweep` and the
+    levels the tables price get their ``KernelStats``; otherwise the level
+    loop computes them.  The replay launches them all
+    (:mod:`repro.core.levels`).
     """
     with obs.span("backward", source=fwd.source, phase="backward"):
         delta, _delta_u, _delta_ut = ctx.swap_to_backward()
         sigma, depth = fwd.sigma, fwd.depth
         # slices[d - 1]: the vertices at depth d, as the forward stage found them
         slices = fwd.discovered
-        push = ctx.matrix.push_operator()
-        active = _planned_rows(sigma, delta.dtype, slices, depth)
         spmv = SpmvLevels(ctx, "backward", _operands(sigma, delta, slices, depth))
-        spmv.plan(active, None, delta.dtype)
-        _sweep(_dag(push, fwd), sigma, delta, scatter=ctx.graph.directed)
-        if any(spmv.priced):
-            # only the priced levels' counts are read: the others count nothing
-            rows = [a if priced else a[:0] for a, priced in zip(active, spmv.priced)]
-            spmv.price(_written_counts(push, rows, fwd.levels, depth))
+        if fwd.dag is None:
+            _backward_loop(spmv, sigma, delta, slices, depth)
+        else:
+            push = ctx.matrix.push_operator()
+            active = _planned_rows(sigma, delta.dtype, slices, depth)
+            spmv.plan(active, None, delta.dtype)
+            _sweep(fwd.dag, sigma, delta, scatter=ctx.graph.directed)
+            if any(spmv.priced):
+                # only the priced levels' counts are read: the others count nothing
+                rows = [a if priced else a[:0] for a, priced in zip(active, spmv.priced)]
+                spmv.price(_written_counts(push, rows, fwd.levels, depth))
         _replay_backward(ctx, (sigma.size, *list_costs(slices)), depth, spmv)
     return delta
+
+
+def _backward_loop(spmv, Sigma, Delta, slices, depth) -> None:
+    """Lines 31-42 at any width, level by level from ``depth`` down to 2:
+    ``delta_u`` on the depth-d slice, its product
+    (:meth:`SpmvLevels.product`) and the ``delta`` update on the
+    depth-(d-1) slice; writes ``Delta`` in place."""
+    for d in range(depth, 1, -1):
+        Delta_u, _ = FK.delta_u(Sigma, Delta, slices[d - 1])
+        FK.delta_update(Sigma, Delta, spmv.product(Delta_u, None), slices[d - 2])
 
 
 def _operands(sigma, delta, slices, depth):
@@ -80,14 +96,6 @@ def _planned_rows(sigma, dtype, slices, depth) -> list[np.ndarray]:
     keep = sig > 0
     keep[keep] = (np.ones(np.count_nonzero(keep), dtype=dtype) / sig[keep]).astype(dtype) > 0
     return [flat[lo:hi][keep[lo:hi]] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-
-
-def _dag(push, fwd: BFSResult) -> LevelDAG:
-    """The forward's BFS DAG: the solve's, else built from its slices."""
-    if fwd.dag is not None:
-        return fwd.dag
-    perm, bounds = flatten([np.array([fwd.source])] + fwd.discovered[:fwd.depth])
-    return level_dag(push, perm, bounds)
 
 
 def _sweep(dag: LevelDAG, sigma, delta, *, scatter: bool) -> None:
@@ -172,18 +180,16 @@ def accumulate_dependencies_batch(ctx: TurboBCContext, fwd: BatchedBFSResult) ->
     the deeper levels, so its delta column stays exactly zero until the walk
     reaches its own depth -- from where it proceeds identically to the
     per-source :func:`accumulate_dependencies`.  Per-lane results are
-    bit-identical to the sequential stage.  Each level's ``delta_u``, its
-    product (:meth:`SpmvLevels.product`) and the ``delta`` update are
-    computed first; the replay launches them, with the slices' sizes and
-    the gather transactions the forward stage counted.
+    bit-identical to the sequential stage.  The level loop
+    (:func:`_backward_loop`) computes every level first; the replay
+    launches them, with the slices' sizes and the gather transactions the
+    forward stage counted.
     """
     with obs.span("backward", sources=fwd.sources, batch=fwd.batch_size, phase="backward"):
         Delta, _Delta_u, _Delta_ut = ctx.swap_to_backward()
         Sigma, slices, depth = fwd.sigma, fwd.discovered, fwd.depth
         spmv = SpmvLevels(ctx, "backward", _operands(Sigma, Delta, slices, depth))
-        for d in range(depth, 1, -1):
-            Delta_u, _ = FK.delta_u(Sigma, Delta, slices[d - 1])
-            FK.delta_update(Sigma, Delta, spmv.product(Delta_u, None), slices[d - 2])
+        _backward_loop(spmv, Sigma, Delta, slices, depth)
         sizes = np.array([flat.size for flat in slices])
         _replay_backward(ctx, (Sigma.size, sizes, fwd.txn), depth, spmv)
     return Delta

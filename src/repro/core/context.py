@@ -21,7 +21,6 @@ from repro.gpusim.device import Device
 from repro.gpusim.memory import DeviceArena
 from repro.obs import telemetry as obs
 from repro.perf.memory_model import turbobc_arena_slab_bytes
-from repro.spmv import _spmm as M
 
 #: Kernel name -> (storage format attribute, mask fused into the SpMV?)
 #: ``adaptive`` stores CSC (the paper's ``7n + m`` discipline) and re-picks
@@ -293,22 +292,13 @@ class TurboBCContext:
         return self._kernels(stage, x.ndim == 2)[kernel](device, self.matrix, x, **kwargs)
 
     def product(self, stage: str, x: np.ndarray, allowed: np.ndarray | None = None,
-                *, kernel: str | None = None):
-        """The numerics of one level's product of ``stage``, without a launch.
-
-        Returns ``(y, n_written, stats)`` for a vector or ``(n, B)`` operand
-        ``x``.  With a ``kernel``, its entry point runs against a recorder,
-        so ``stats`` is the level's exact ``KernelStats`` for the replay to
-        launch.  Without one (a per-source forward level under the
-        dispatcher) the SpMV engine computes ``y`` alone: ``stats`` is
-        ``None`` and ``n_written`` counts the positive sums for the level
-        tables.  Every kernel of the stage computes this ``y``.
-        """
-        if kernel is not None:
-            y, stats = self._entry(self._recorder, stage, kernel, x, allowed)
-            return y, None, stats
-        p = M.product(self.matrix, x, batched=False, allowed=allowed, need="written")
-        return p.y, p.written, None
+                *, kernel: str):
+        """The numerics of one level's product of ``stage``, without a launch:
+        ``kernel``'s entry point for the vector or ``(n, B)`` operand ``x``
+        (an SpMV or an SpMM) runs against a recorder.  Returns ``(y,
+        stats)``, ``stats`` being the level's exact ``KernelStats`` for the
+        replay to launch."""
+        return self._entry(self._recorder, stage, kernel, x, allowed)
 
     # -- dispatch audit ---------------------------------------------------------
 

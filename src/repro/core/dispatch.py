@@ -520,14 +520,16 @@ class AdaptiveDispatcher:
             allowed = None if allowed is None else lane_any(allowed)
         else:
             active_rows, batch = x > 0, 1
-        nnz_x = int(np.count_nonzero(active_rows))
-        e_active = int(self.rowdeg[active_rows].sum()) if nnz_x else 0
+        # integer gathers: a boolean-mask compaction costs more per element
+        rows = np.flatnonzero(active_rows)
+        nnz_x = int(rows.size)
+        e_active = int(self.rowdeg[rows].sum())
         if allowed is None:
             s_allowed = self.m
             n_allowed = self.n
             dmax = int(self.deg.max()) if self.n else 0
         else:
-            deg_allowed = self.deg[allowed]
+            deg_allowed = self.deg[np.flatnonzero(allowed)]
             s_allowed = int(deg_allowed.sum())
             n_allowed = int(deg_allowed.size)
             dmax = int(deg_allowed.max()) if deg_allowed.size else 0

@@ -11,15 +11,16 @@ launch them through one replay (:func:`_replay_forward`,
 discovered list (vertex ids, or row-major flat indices of the ``(n, B)``
 arrays), which is the slice the backward stage walks.
 
-The per-source numerics take one of two routes to the same bits.  The
-level loop (:func:`_forward_numerics`) runs one product and one frontier
-update per level.  On a deep BFS under the adaptive dispatcher, one sparse
-triangular solve over the BFS DAG gives sigma instead
-(:func:`_forward_solve`, DESIGN.md §7 "Forward sigma as one solve"), and
-the level lists the replay needs come from the solve's vertex order.  The
-batched numerics (:func:`_forward_numerics_batch`) run one masked SpMM of
-every lane per level; the dispatcher decides each level there, and the
-replay records the decisions as it launches the levels.
+One level loop (:func:`_forward_loop`) serves every width: per level one
+product of every lane's frontier -- the dispatcher's decision and the
+chosen entry point, an SpMV on a vector and an SpMM on an ``(n, B)``
+matrix -- and the frontier update; the replay records the decisions as it
+launches the levels.  A per-source forward on a deep BFS under the
+adaptive dispatcher takes the one other route to the same bits: one
+sparse triangular solve over the BFS DAG gives sigma
+(:func:`_forward_solve`, DESIGN.md §7 "Forward sigma as one solve"), the
+level lists the replay needs come from the solve's vertex order, and the
+level tables plan and price its products.
 
 One pseudocode correction (documented in DESIGN.md §2): the printed
 Algorithm 1 never clears frontier entries of discovered vertices; the
@@ -76,10 +77,10 @@ def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
     backward stage.
 
     The levels are computed first -- by one triangular solve where
-    :func:`_forward_solve` applies, else by the level loop -- and then
-    replayed as the pipeline's launches -- per level the SpMV, the update
-    kernel and the convergence readback -- with their spans and telemetry
-    (:mod:`repro.core.levels`).
+    :func:`_forward_solve` applies, else by the level loop at width 1 --
+    and then replayed as the pipeline's launches -- per level the SpMV,
+    the update kernel and the convergence readback -- with their spans and
+    telemetry (:mod:`repro.core.levels`).
     """
     graph = ctx.graph
     n = graph.n
@@ -89,14 +90,20 @@ def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
 
     tel = obs.get_telemetry()
     with obs.span("forward", source=source, phase="forward"):
-        discovered, active, written, stats, dag = (
-            _forward_solve(ctx, source, sigma, S) or _forward_numerics(ctx, source, sigma, S, f))
-        found, operands = _frontier_operands(ctx, sigma, discovered, source, None)
-        spmv = SpmvLevels(ctx, "forward", operands).plan(active, found(), sigma.dtype)
-        spmv.stats = stats
-        spmv.price(written)
-        sizes, txn = list_costs(discovered)
-        _replay_forward(ctx, spmv, sizes[:, None], txn, False, tel)
+        spmv = SpmvLevels(ctx, "forward", None)
+        solved = _forward_solve(ctx, source, sigma, S)
+        if solved is None:
+            dag = None
+            discovered, lanes, txn = _forward_loop(ctx, spmv, source, sigma, S, f)
+        else:
+            discovered, active, dag = solved
+            sizes, txn = list_costs(discovered)
+            lanes = sizes[:, None]
+        found, spmv.operands = _frontier_operands(ctx, sigma, discovered, source, lanes)
+        if dag is not None:
+            # every sum of a solved level is positive: it writes its discovered list
+            spmv.plan(active, found(), sigma.dtype).price(sizes)
+        _replay_forward(ctx, spmv, lanes, txn, False, tel)
         depth = len(discovered) - 1  # the last level discovered nothing (line 29)
         if tel is not None and tel.metrics is not None:
             tel.metrics.histogram("bfs_depth").record(depth)
@@ -120,43 +127,13 @@ def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
     )
 
 
-def _forward_numerics(ctx, source, sigma, S, f):
-    """Algorithm 1 lines 15-28 with the SpMV engine only.
-
-    Returns per level (depth 1, 2, ...): the discovered list, the active
-    rows of the level's product (the previous level's positive frontier
-    entries; the source for depth 1), and the product's positive-sum count
-    and recorded ``KernelStats`` (see ``TurboBCContext.product``); then
-    ``None`` for the BFS DAG, which the loop does not build.  The last
-    level discovers nothing.  A static algorithm's entry point
-    computes the products; adaptive levels are planned from these lists
-    afterwards, so the SpMV engine computes theirs.
-    """
-    kernel = None if ctx.dispatcher is not None else ctx.algorithm
-    f[source] = 1
-    sigma[source] = 1
-    x = f
-    discovered, active, written, stats = [], [np.array([source])], [], []
-    depth = 0
-    while True:
-        depth += 1
-        ft, n_written, level_stats = ctx.product("forward", x, sigma == 0, kernel=kernel)
-        x, touched = FK.frontier_update(ft, sigma, S, depth, masked_spmv=ctx.mask_fused)
-        discovered.append(touched)
-        written.append(n_written)
-        stats.append(level_stats)
-        if not touched.size:
-            break
-        active.append(touched[np.take(x, touched) > 0])
-    f[source] = 0  # the drained frontier
-    return discovered, active, written, stats, None
-
-
 def _forward_solve(ctx, source, sigma, S):
     """Algorithm 1 lines 15-28 as one sparse triangular solve, or ``None``
-    where the level loop must run.  Returns :func:`_forward_numerics`'s
-    lists and the BFS DAG (:class:`~repro.core.levels.LevelDAG`), which
-    the backward stage walks too.
+    where the level loop must run.  Returns per level (depth 1, 2, ...)
+    the discovered list, the last one empty, and the level's active rows
+    (the previous level's list; the source for depth 1); then the BFS DAG
+    (:class:`~repro.core.levels.LevelDAG`), which the backward stage
+    sweeps.
 
     sigma over the BFS DAG solves ``(I - P) sigma = e_source``, where ``P``
     holds the stored entries from level d - 1 to level d.  With the
@@ -220,9 +197,7 @@ def _forward_solve(ctx, source, sigma, S):
     sigma[perm] = x
     S[perm] = lev
     lists = np.split(perm, bounds[1:-1])  # levels 0 .. depth
-    discovered = lists[1:] + [perm[:0]]
-    written = [int(d.size) for d in discovered]
-    return discovered, lists, written, [None] * len(discovered), dag
+    return lists[1:] + [perm[:0]], lists, dag
 
 
 def _frontier_operands(ctx, sigma, discovered, roots, lanes):
@@ -305,8 +280,8 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
     masked SpMM plus one batched update kernel.  The batch runs until every
     lane's frontier has drained (the per-lane convergence bitmap), with
     drained lanes masked out of the SpMM.  The levels are computed first
-    (:func:`_forward_numerics_batch`) and then replayed as the pipeline's
-    launches by the per-source stage's replay.  Per-lane results are
+    (:func:`_forward_loop`) and then replayed as the pipeline's launches by
+    the per-source stage's replay.  Per-lane results are
     bit-identical to :func:`bfs_forward`.
 
     Sigma overflow is reported per lane in the result's ``overflowed``
@@ -328,7 +303,7 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
     tel = obs.get_telemetry()
     with obs.span("forward", sources=src, batch=B, phase="forward"):
         spmv = SpmvLevels(ctx, "forward", None)
-        discovered, lanes, txn = _forward_numerics_batch(ctx, spmv, roots, Sigma, S, F)
+        discovered, lanes, txn = _forward_loop(ctx, spmv, roots, Sigma, S, F)
         _, spmv.operands = _frontier_operands(ctx, Sigma, discovered, roots, lanes)
         _replay_forward(ctx, spmv, lanes, txn, True, tel)
         depths = np.count_nonzero(lanes, axis=0)
@@ -352,18 +327,20 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
     )
 
 
-def _forward_numerics_batch(ctx, spmv, roots, Sigma, S, F):
-    """Batched lines 15-28: per level one product of every lane's frontier
-    (:meth:`SpmvLevels.product`: the level's decision and its entry point
-    against a recorder), masked where the kernel fuses the mask to the
-    undiscovered elements of the lanes still active, and the frontier
-    update.
+def _forward_loop(ctx, spmv, roots, Sigma, S, F):
+    """Lines 15-28 at any width, from the ``roots`` (flat indices: the
+    source of a vector, ``(s_j, j)`` of an ``(n, B)`` matrix): per level
+    one product of every lane's frontier (:meth:`SpmvLevels.product`: the
+    level's decision and its entry point against a recorder), masked where
+    the kernel fuses the mask to the undiscovered elements of the lanes
+    still active, and the frontier update.
 
-    Returns per level the discovered row-major flat list, the ``(levels,
-    B)`` per-lane discovery counts and each list's gather transactions,
-    counted once for the update kernel and both backward kernels.
+    Returns per level the discovered flat list, the ``(levels, B)``
+    per-lane discovery counts (a vector is one lane) and each list's
+    gather transactions, counted once for the update kernel and both
+    backward kernels.
     """
-    B = Sigma.shape[1]
+    B = Sigma.shape[1] if Sigma.ndim == 2 else 1
     np.put(F, roots, 1)
     np.put(Sigma, roots, 1)
     X = F
@@ -371,7 +348,8 @@ def _forward_numerics_batch(ctx, spmv, roots, Sigma, S, F):
     discovered, lanes, txn = [], [], []
     while active.any():
         allowed = Sigma == 0 if ctx.mask_fused else None
-        if allowed is not None:  # by column: `& active` would be ~5x the compare
+        if allowed is not None and not active.all():
+            # by column: `& active` would be ~5x the compare
             allowed[:, np.flatnonzero(~active)] = False
         Ft = spmv.product(X, allowed)
         X, flat = FK.frontier_update(Ft, Sigma, S, len(discovered) + 1,

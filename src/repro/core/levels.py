@@ -2,24 +2,22 @@
 
 Every stage computes its levels first and then launches them (DESIGN.md
 §7, "Numerics, then costs"); :class:`SpmvLevels` holds the product side of
-a stage's levels at any width.  A batched stage decides each level and
-records its stats in its numerics (:meth:`SpmvLevels.product`).  A
-per-source stage plans its levels from the index lists its numerics record
--- each level's active rows and the elements each streaming kernel writes:
-the forward's level loop records them, and a deep adaptive forward takes
-them from its triangular solve's level-major order (:class:`LevelDAG`),
-which the backward sweep walks too.  Under the adaptive dispatcher O(n + m)
-passes over the lists give every level's statistics, one
-:class:`~repro.core.dispatch.DecisionTable` the stage's decisions, and the
-cost functions price the levels whose gather picks ``tcspmm``.  The lists
-are recorded, not inferred from the final ``S``: in an int32 attempt,
-wrapped sigma values change which rows are active and which columns a
-gather writes (the solve never runs on a forward that wraps).
+a stage's levels at any width.  The level loop of either stage, on a
+vector or an ``(n, B)`` matrix, decides each level and records its stats
+in its numerics (:meth:`SpmvLevels.product`).  A per-source forward that
+solves sigma instead, and the backward sweep after it, plan their levels
+from index lists (:meth:`SpmvLevels.plan`) -- each level's active rows and
+the elements each streaming kernel writes: the forward takes them from its
+triangular solve's level-major order (:class:`LevelDAG`), which the
+backward sweep walks too.  O(n + m) passes over the lists give every
+level's statistics, one :class:`~repro.core.dispatch.DecisionTable` the
+stage's decisions, and the cost functions price the levels whose gather
+picks ``tcspmm``.
 
 A replay launches the stage as one
 :class:`~repro.gpusim.kernel.LaunchTable`, in launch order, with one device
 call (:meth:`SpmvLevels.launch`), and records its decisions as one block
-with the products' measured times.  A product row is a static forward's
+with the products' measured times.  A product row is a level loop's
 recorded stats, a priced row, or else the row of the level's entry point
 run against the context's recorder on the level's exact operands: in the
 forward ``x`` is sigma on the previous level's discovered list and the
@@ -119,9 +117,10 @@ class SpmvLevels:
     ``operands(k)`` rebuilds level ``k``'s exact ``(x, allowed)``.
     ``stats[k]`` is the ``KernelStats`` its numerics recorded, if any, and
     ``priced[k]`` marks a level whose row the level tables give (``rows``).
-    ``decisions`` are the dispatcher's (``None`` without one).  A batched
-    stage adds its levels as its numerics run (:meth:`product`); a
-    per-source stage plans them all from its lists (:meth:`plan`).
+    ``decisions`` are the dispatcher's (``None`` without one).  A level
+    loop adds its levels as its numerics run (:meth:`product`); a solved
+    forward and its backward sweep plan them all from their lists
+    (:meth:`plan`).
     """
 
     def __init__(self, ctx, stage: str, operands):
@@ -135,24 +134,25 @@ class SpmvLevels:
         self.decisions = None if ctx.dispatcher is None else []
 
     def product(self, x: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
-        """One batched level's numerics: the dispatcher's decision for the
-        ``(n, B)`` operand ``x`` under the ``allowed`` mask, planned here
-        and recorded at launch, then the chosen entry point against the
-        context's recorder.  Returns the product."""
+        """One loop level's numerics: the dispatcher's decision for the
+        vector or ``(n, B)`` operand ``x`` under the ``allowed`` mask,
+        planned here and recorded at launch, then the chosen entry point
+        against the context's recorder.  Returns the product."""
         ctx = self.ctx
         kernel = ctx.algorithm
         if self.decisions is not None:
             decision = ctx.dispatcher.decide(self.stage, len(self.decisions), x, allowed)
             self.decisions.append(decision)
             kernel = decision.kernels[0]
-        y, _, stats = ctx.product(self.stage, x, allowed, kernel=kernel)
+        y, stats = ctx.product(self.stage, x, allowed, kernel=kernel)
         self.kernels.append(kernel)
         self.stats.append(stats)
         self.priced.append(False)
         return y
 
     def plan(self, active, allowed_level, dtype) -> "SpmvLevels":
-        """Plan a per-source stage's levels from their lists.
+        """Plan a solved forward's or a backward sweep's levels from their
+        lists.
 
         ``active[k]`` lists the rows whose ``x`` entry is positive at level
         ``k`` and ``allowed_level[c]`` the last level at which column ``c``
@@ -236,7 +236,7 @@ class SpmvLevels:
         for k in range(len(self.stats)):
             if self.stats[k] is None and not self.priced[k]:
                 x, allowed = self.operands(k)
-                self.stats[k] = self.ctx.product(self.stage, x, allowed, kernel=self.kernels[k])[2]
+                self.stats[k] = self.ctx.product(self.stage, x, allowed, kernel=self.kernels[k])[1]
         rest = LaunchTable.from_stats([s for s in self.stats if s is not None], ())
         if self.rows is None:
             return rest

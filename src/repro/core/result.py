@@ -35,8 +35,9 @@ class BFSResult:
         for levels ``1 .. depth + 1`` (the last one empty), sorted; the
         backward stage walks them.  ``None`` on host-side copies.
     dag:
-        The level-major BFS DAG where the forward solve built it, for the
-        backward stage to reuse; ``None`` otherwise.
+        The level-major BFS DAG where the forward solve built it, which
+        the backward stage then sweeps; ``None`` where the level loop ran,
+        and the backward runs its level loop too.
     """
 
     source: int

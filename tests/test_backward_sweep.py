@@ -1,12 +1,14 @@
-"""The per-source backward as one sweep over the BFS DAG (``core/backward.py``
-``_sweep``): delta and the per-launch positive-sum counts are the level
-loop's, bit for bit, for every algorithm and dtype."""
+"""The per-source backward: one sweep over the BFS DAG (``core/backward.py``
+``_sweep``) after a forward solve, the shared level loop otherwise.  delta
+and the per-launch positive-sum counts are the engine level loop's, bit for
+bit, for every algorithm and dtype."""
 
 import numpy as np
 import pytest
 
 from repro import Device, Graph, turbo_bc
 from repro.core import backward as BW
+from repro.core import forward as F
 from repro.core import bc as bc_mod
 from repro.core.context import TurboBCContext
 from repro.core.forward import bfs_forward
@@ -77,15 +79,16 @@ def test_delta_and_written_counts_equal_the_level_loop(gname, algorithm, dtypes)
         assert np.count_nonzero(fwd.sigma == 0) == 60  # the other component
 
 
-def test_descending_sums_would_change_bits():
+def test_descending_sums_would_change_bits(monkeypatch):
     """The sweep's parent sums add children in ascending id; in descending
     id they give other bits on the layered graph."""
+    monkeypatch.setattr(F, "SOLVE_MIN_DEPTH", 0)
     g = _layered(80, seed=7)
     ctx = TurboBCContext(Device(), g, "adaptive", forward_dtype=np.float64,
                          backward_dtype=np.float64)
     fwd = bfs_forward(ctx, 0)
     _, want, _ = _live_backward(ctx, fwd)
-    dag = BW._dag(ctx.matrix.push_operator(), fwd)
+    dag = fwd.dag
     parent = np.repeat(np.arange(dag.perm.size), np.diff(dag.indptr))
     for child, same in ((dag.child, True),
                         (dag.child[np.lexsort((-dag.child, parent))], False)):
@@ -97,11 +100,12 @@ def test_descending_sums_would_change_bits():
 
 def test_priced_backward_makes_no_engine_product(monkeypatch):
     """An adaptive B = 1 run on the road grid, where the tables price every
-    backward level: the backward stage calls no product and reuses the
-    forward solve's DAG; a static run builds the DAG once a source."""
+    backward level: the backward stage calls no product and sweeps the
+    forward solve's DAG, the only one built; a static run builds none and
+    runs the level loop."""
     g = GRAPHS["road"][0]()
     calls, dags, priced = [], [], []
-    product, level_dag, replay = _spmm.product, BW.level_dag, BW._replay_backward
+    product, level_dag, replay = _spmm.product, F.level_dag, BW._replay_backward
     inside = []
 
     def counted_product(*args, **kwargs):
@@ -117,26 +121,30 @@ def test_priced_backward_makes_no_engine_product(monkeypatch):
 
     monkeypatch.setattr(_spmm, "product", counted_product)
     monkeypatch.setattr(bc_mod, "accumulate_dependencies", backward)
-    monkeypatch.setattr(BW, "level_dag", lambda *a: dags.append(1) or level_dag(*a))
+    monkeypatch.setattr(F, "level_dag", lambda *a: dags.append(1) or level_dag(*a))
     monkeypatch.setattr(BW, "_replay_backward",
                         lambda ctx, sl, depth, spmv: priced.append(all(spmv.priced))
                         or replay(ctx, sl, depth, spmv))
     sources = [0, g.n - 1]
     res = turbo_bc(g, sources=sources, algorithm="adaptive", device=Device(),
                    forward_dtype=np.float64, batch_size=1)
-    assert priced == [True, True] and not dags
+    assert priced == [True, True] and len(dags) == 2  # one solve a source
     assert not any(calls)
     calls.clear()
+    dags.clear()
     ref = turbo_bc(g, sources=sources, algorithm="sccsc", device=Device(),
                    forward_dtype=np.float64, batch_size=1)
-    assert len(dags) == 2 and any(calls)  # each level's entry point, in the replay
+    assert not dags and any(calls)  # each level's entry point, in the level loop
     assert np.array_equal(res.bc, ref.bc)
 
 
 def test_written_counts_of_priced_levels_ignore_unpriced_rows(monkeypatch):
     """The backward counts written sums over the priced levels' rows alone;
     on a small-world graph, where adaptive prices some backward levels and
-    not others, each priced count equals the count over every level's rows."""
+    not others, each priced count equals the count over every level's rows.
+    The graph is shallow, so the solve is forced: only a solved forward's
+    backward sweeps and prices."""
+    monkeypatch.setattr(F, "SOLVE_MIN_DEPTH", 0)
     g = small_world_graph(2_000, k=10, rewire_p=0.08, seed=1)
     planned_rows, written_counts, replay = (BW._planned_rows, BW._written_counts,
                                             BW._replay_backward)

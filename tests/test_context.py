@@ -132,7 +132,7 @@ class TestBackwardDispatch:
         ctx = TurboBCContext(device, graph, "sccsc")
         x = np.zeros(graph.n, dtype=np.float32)
         x[0] = 1.0
-        _, _, stats = ctx.product("backward", x, kernel="sccsc")
+        _, stats = ctx.product("backward", x, kernel="sccsc")
         assert "scatter" in stats.name
 
     def test_undirected_uses_gather(self):
@@ -141,7 +141,7 @@ class TestBackwardDispatch:
         ctx = TurboBCContext(device, g, "sccsc")
         x = np.zeros(g.n, dtype=np.float32)
         x[0] = 1.0
-        _, _, stats = ctx.product("backward", x, kernel="sccsc")
+        _, stats = ctx.product("backward", x, kernel="sccsc")
         assert stats.name == "sccsc_spmv"
 
     @pytest.mark.parametrize("alg", ["sccooc", "sccsc", "veccsc"])

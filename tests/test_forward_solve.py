@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 from repro import Device, Graph, turbo_bc
+from repro.core import backward as BW
+from repro.core import bc as bc_mod
 from repro.core import forward as F
 from repro.core.context import TurboBCContext
+from repro.core.levels import SpmvLevels
+from repro.graphs.generators.mawi import traffic_trace_graph
 from repro.graphs.generators.road import road_network_graph
 from repro.graphs.generators.social import powerlaw_cluster_graph
 from repro.graphs.generators.webgraph import preferential_attachment_digraph
 from repro.obs import telemetry as obs
+from repro.spmv import _spmm
 
 
 def _diamond_chain(k: int, star: int = 0) -> Graph:
@@ -45,14 +50,19 @@ def _layered(levels: int, seed: int) -> Graph:
 
 
 def _numerics(graph, source, dtype, *, solve: bool, algorithm="adaptive"):
-    """One source's forward numerics by the solve or by the level loop:
-    ``(recorded lists or None, sigma, S, f)``."""
+    """One source's forward numerics by the solve or by the shared level
+    loop at width 1: ``(discovered and active lists, or None; sigma, S,
+    f)``.  The loop's active rows are each level's positive frontier
+    entries, whose values sigma keeps."""
     ctx = TurboBCContext(Device(), graph, algorithm, forward_dtype=dtype)
     sigma, S, f = ctx.alloc_forward()
     if solve:
         rec = F._forward_solve(ctx, source, sigma, S)
+        rec = rec and rec[:2]
     else:
-        rec = F._forward_numerics(ctx, source, sigma, S, f)
+        discovered, _, _ = F._forward_loop(ctx, SpmvLevels(ctx, "forward", None), source,
+                                           sigma, S, f)
+        rec = discovered, [np.array([source])] + [d[sigma[d] > 0] for d in discovered[:-1]]
     return rec, sigma.copy(), S.copy(), f.copy()
 
 
@@ -122,12 +132,11 @@ class TestSolveMatchesTheLoop:
             assert got is not None
             assert np.array_equal(g_sigma.view(np.uint64), w_sigma.view(np.uint64))
             assert _same_bits(g_S, w_S) and _same_bits(g_f, w_f)
-            for got_lists, want_lists in zip(got[:2], want[:2]):  # discovered, active
+            for got_lists, want_lists in zip(got, want):  # discovered, active
                 assert len(got_lists) == len(want_lists)
                 for a, b in zip(got_lists, want_lists):
                     assert a.dtype == b.dtype == np.int64
                     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-            assert list(got[2]) == list(want[2]) and got[3] == want[3]
             big = max(big, float(g_sigma.max()))
             if gname == "layered":
                 reordered += _order_sensitive(g, w_sigma, w_S)
@@ -245,6 +254,61 @@ def test_auto_run_that_overflows_starts_in_float64(monkeypatch, caplog, solves):
     assert _same_bits(res.bc, ref.bc)
     assert res.stats.gpu_time_s == ref.stats.gpu_time_s
     assert res.stats.kernel_launches == ref.stats.kernel_launches
+
+
+@pytest.fixture
+def staged(monkeypatch):
+    """Records the stage (or ``"solve"``) inside which each engine product
+    and each BFS DAG build of a run happens: ``(products, dags)``."""
+    where, products, dags = [None], [], []
+    product, level_dag = _spmm.product, F.level_dag
+    monkeypatch.setattr(_spmm, "product",
+                        lambda *a, **k: products.append(where[-1]) or product(*a, **k))
+    for mod in (F, BW):  # wherever a stage could build a DAG
+        monkeypatch.setattr(mod, "level_dag",
+                            lambda *a: dags.append(where[-1]) or level_dag(*a), raising=False)
+
+    def inside(name, fn):
+        def run(*args):
+            where.append(name)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+        return run
+
+    for mod, fn, name in ((bc_mod, "bfs_forward", "forward"),
+                          (bc_mod, "accumulate_dependencies", "backward"),
+                          (F, "_forward_solve", "solve")):
+        monkeypatch.setattr(mod, fn, inside(name, getattr(mod, fn)))
+    return products, dags
+
+
+@pytest.mark.parametrize("algorithm", ["sccsc", None, "adaptive"])
+def test_shallow_source_makes_one_product_per_level(staged, algorithm):
+    """Below the crossover a B = 1 source runs the shared level loop under
+    a static kernel (``None``: the ``select_algorithm`` default, scCOOC on
+    this hub-and-chain graph) and under the dispatcher alike: one engine
+    product per level of each stage, and no BFS DAG."""
+    products, dags = staged
+    g = traffic_trace_graph(500, seed=0)
+    res = turbo_bc(g, sources=[0], algorithm=algorithm, device=Device(), batch_size=1)
+    (depth,) = res.stats.depth_per_source
+    assert 1 < depth < F.SOLVE_MIN_DEPTH
+    assert products.count("forward") == depth + 1  # the last level discovers nothing
+    assert products.count("backward") == depth - 1
+    assert len(products) == 2 * depth and not dags
+
+
+def test_deep_source_builds_its_dag_once_in_the_solve(staged):
+    """A deep adaptive float64 source builds its BFS DAG once, in the
+    solve; the backward sweeps that DAG."""
+    _, dags = staged
+    g = road_network_graph(14, 14, segments=1, keep_prob=0.9, seed=2)
+    res = turbo_bc(g, sources=[0], algorithm="adaptive", device=Device(),
+                   forward_dtype=np.float64, batch_size=1)
+    assert res.stats.depth_per_source[0] >= F.SOLVE_MIN_DEPTH
+    assert dags == ["solve"]
 
 
 def test_solve_leaves_the_modeled_snapshot_unchanged(monkeypatch, solves):

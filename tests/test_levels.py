@@ -1,11 +1,11 @@
 """The per-source pipeline's level tables against per-level recomputation.
 
-The per-source stages compute their levels first and price them from
-tables built over the recorded lists (``repro.core.levels``).  Here a
-test-local live loop recomputes every level the way the pipeline computed
-it level by level -- the frontier ``x``, the ``sigma == 0`` mask -- and
-each table entry, decision and tensor-core ``KernelStats`` must equal the
-one-level formula on those operands.
+A per-source forward that solves sigma, and the backward sweep after it,
+plan and price their levels from tables built over the recorded lists
+(``repro.core.levels``).  Here a test-local reference loop on the SpMV
+engine recomputes every level level by level -- the frontier ``x``, the
+``sigma == 0`` mask -- and each table entry, decision and tensor-core
+``KernelStats`` must equal the one-level formula on those operands.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import pytest
 from repro import Graph
 from repro.core import frontier as FK
 from repro.core.context import TurboBCContext
-from repro.core.backward import _dag, _planned_rows, _sweep, _written_counts
-from repro.core.forward import _forward_numerics, bfs_forward, levels_of
+from repro.core import forward as F
+from repro.core.backward import _planned_rows, _sweep, _written_counts
+from repro.core.forward import bfs_forward, levels_of
 from repro.core.levels import SpmvLevels
 from repro.gpusim import warp as W
 from repro.gpusim.device import Device
@@ -68,22 +69,30 @@ def _diamonds(k: int = 40) -> Graph:
                             n=3 * k + 3, directed=False)
 
 
-def _live_forward(ctx, source):
-    """The old level-by-level loop: each level's ``(x, allowed)``."""
+def _engine_forward(ctx, source):
+    """The per-source level loop on the SpMV engine alone: each level's
+    ``(x, allowed)``; the lists the level tables read -- per level the
+    discovered vertices, the active rows (the previous level's positive
+    frontier entries; the source for depth 1) and the product's
+    positive-sum count; and the final sigma."""
     n = ctx.graph.n
     sigma = np.zeros(n, dtype=ctx.forward_dtype)
     S = np.zeros(n, dtype=np.int32)
     x = np.zeros(n, dtype=ctx.forward_dtype)
     x[source] = sigma[source] = 1
-    levels, depth = [], 0
+    levels, discovered, active, written = [], [], [np.array([source])], []
+    depth = 0
     while True:
         depth += 1
         allowed = sigma == 0
         levels.append((x.copy(), allowed))
-        ft, _, _ = ctx.product("forward", x, allowed)
-        x, touched = FK.frontier_update(ft, sigma, S, depth, masked_spmv=ctx.mask_fused)
+        p = _spmm.product(ctx.matrix, x, batched=False, allowed=allowed, need="written")
+        x, touched = FK.frontier_update(p.y, sigma, S, depth, masked_spmv=ctx.mask_fused)
+        discovered.append(touched)
+        written.append(p.written)
         if not touched.size:
-            return levels
+            return levels, (discovered, active, written), sigma
+        active.append(touched[np.take(x, touched) > 0])
 
 
 GRAPHS = {
@@ -105,10 +114,7 @@ def test_forward_tables_match_per_level_formulas(name):
     priced = 0
     for source in (0, graph.n - 1):
         ctx = TurboBCContext(Device(), graph, "adaptive", forward_dtype=fdt)
-        live = _live_forward(ctx, source)
-        sigma, S, f = ctx.alloc_forward()
-        discovered, active, written, recorded, _ = _forward_numerics(ctx, source, sigma, S, f)
-        assert recorded == [None] * len(discovered)  # the engine ran every level
+        live, (discovered, active, written), sigma = _engine_forward(ctx, source)
         if name.endswith("int32"):
             assert (sigma < 0).any()  # the attempt wrapped
         found = levels_of(discovered, graph.n, len(discovered), source)
@@ -120,7 +126,6 @@ def test_forward_tables_match_per_level_formulas(name):
             return x, found >= k + 1
 
         spmv = SpmvLevels(ctx, "forward", operands).plan(active, found, sigma.dtype)
-        spmv.stats = recorded
         spmv.price(written)
         tc_rows = list(spmv.rows) if spmv.rows is not None else []
         assert len(live) == len(discovered) == len(spmv.kernels)
@@ -177,11 +182,13 @@ def _live_backward(ctx, fwd):
 
 @pytest.mark.parametrize("name", ["undirected", "digraph", "road-like", "road-12x12",
                                   "diamonds-155"])
-def test_backward_plan_matches_per_level_formulas(name):
+def test_backward_plan_matches_per_level_formulas(monkeypatch, name):
+    monkeypatch.setattr(F, "SOLVE_MIN_DEPTH", 0)  # the forward solves: the backward sweeps
     graph = _diamonds(155) if name == "diamonds-155" else GRAPHS[name]()
     ctx = TurboBCContext(Device(), graph, "adaptive", forward_dtype=np.float64,
                          backward_dtype=np.float32)
     fwd = bfs_forward(ctx, 0)
+    assert fwd.dag is not None
     xs, want_delta, want_written = _live_backward(ctx, fwd)
     planned = _planned_rows(fwd.sigma, np.float32, fwd.discovered, fwd.depth)
     for rows, x in zip(planned, xs):
@@ -197,7 +204,7 @@ def test_backward_plan_matches_per_level_formulas(name):
 
     spmv = SpmvLevels(ctx, "backward", operands).plan(planned, None, delta.dtype)
     push = ctx.matrix.push_operator()
-    _sweep(_dag(push, fwd), fwd.sigma, delta, scatter=graph.directed)
+    _sweep(fwd.dag, fwd.sigma, delta, scatter=graph.directed)
     assert delta.tobytes() == want_delta.tobytes()
     if not graph.directed:
         written = _written_counts(push, planned, fwd.levels, fwd.depth)
